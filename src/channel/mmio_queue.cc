@@ -156,10 +156,11 @@ NicConsumer::PollInto(Bytes& out)
     out.resize(layout.Config().payload_size);
     co_await map_.Read(queue_.PayloadAddr(tail_), out.data(), out.size());
     // The matching flag poll is the acquire half of the publication
-    // handshake; it must precede the payload-read race check.
+    // handshake; it must precede the payload-read race check. Each slot
+    // is consumed once, so the acquire retires the slot's sync var.
     WAVE_CHECK_HOOK({
         if (hb_ != nullptr) {
-            hb_->OnAcquire(actor_, &queue_, tail_);
+            hb_->OnConsume(actor_, &queue_, tail_);
             hb_->OnAccess(actor_, &queue_, queue_.PayloadAddr(tail_),
                           out.size(), /*is_write=*/false,
                           "NicConsumer::Poll[payload]");
@@ -328,7 +329,7 @@ HostConsumer::PollInto(Bytes& out, bool flush_first)
     }
     WAVE_CHECK_HOOK({
         if (hb_ != nullptr) {
-            hb_->OnAcquire(actor_, &queue_, tail_);
+            hb_->OnConsume(actor_, &queue_, tail_);
             hb_->OnAccess(actor_, &queue_, queue_.PayloadAddr(tail_),
                           layout.Config().payload_size,
                           /*is_write=*/false, "HostConsumer::Poll[payload]");

@@ -126,7 +126,7 @@ HbRaceDetector::OnRelease(sim::ActorId actor, const void* obj,
 {
     stats_.releases += 1;
     VectorClock& vc = ClockOf(actor);
-    VectorClock& sync = sync_[SyncKey{obj, tag}];
+    VectorClock& sync = SyncVar(SyncKey{obj, tag});
     if (sync.size() < vc.size()) sync.resize(vc.size(), 0);
     for (std::size_t i = 0; i < vc.size(); ++i) {
         sync[i] = std::max(sync[i], vc[i]);
@@ -143,8 +143,43 @@ HbRaceDetector::OnAcquire(sim::ActorId actor, const void* obj,
     stats_.acquires += 1;
     auto it = sync_.find(SyncKey{obj, tag});
     if (it == sync_.end()) return;  // nothing released yet
+    Join(actor, it->second);
+}
+
+void
+HbRaceDetector::OnConsume(sim::ActorId actor, const void* obj,
+                          std::uint64_t tag)
+{
+    stats_.acquires += 1;
+    auto it = sync_.find(SyncKey{obj, tag});
+    if (it == sync_.end()) return;  // nothing released yet
+    Join(actor, it->second);
+    SyncMap::node_type node = sync_.extract(it);
+    std::fill(node.mapped().begin(), node.mapped().end(), 0);
+    spare_sync_.push_back(std::move(node));
+}
+
+HbRaceDetector::VectorClock&
+HbRaceDetector::SyncVar(const SyncKey& key)
+{
+    if (spare_sync_.empty()) return sync_[key];
+    // Offer a retired (zeroed) node; insert hands it back when the key
+    // is already live, so either way this is one lookup.
+    SyncMap::node_type& spare = spare_sync_.back();
+    spare.key() = key;
+    auto result = sync_.insert(std::move(spare));
+    if (result.inserted) {
+        spare_sync_.pop_back();
+    } else {
+        spare = std::move(result.node);
+    }
+    return result.position->second;
+}
+
+void
+HbRaceDetector::Join(sim::ActorId actor, const VectorClock& sync)
+{
     VectorClock& vc = ClockOf(actor);
-    const VectorClock& sync = it->second;
     if (vc.size() < sync.size()) vc.resize(sync.size(), 0);
     for (std::size_t i = 0; i < sync.size(); ++i) {
         vc[i] = std::max(vc[i], sync[i]);

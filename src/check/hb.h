@@ -136,6 +136,16 @@ class HbRaceDetector {
     void OnAcquire(sim::ActorId actor, const void* obj, std::uint64_t tag);
 
     /**
+     * Consuming acquire: OnAcquire, then retires sync var (@p obj,
+     * @p tag) and keeps its storage for the next OnRelease. For sync
+     * vars with exactly one acquirer, such as a queue slot's generation
+     * flag observed by its one consumer, so live sync state tracks the
+     * in-flight slots rather than every slot ever released. Retiring
+     * only removes HB edges: it can add race reports, never hide one.
+     */
+    void OnConsume(sim::ActorId actor, const void* obj, std::uint64_t tag);
+
+    /**
      * Annotates [offset, offset+n) of @p region as intentionally
      * unordered: conflicting accesses there are counted, not reported.
      * Use for lines whose readers validate freshness another way.
@@ -147,6 +157,9 @@ class HbRaceDetector {
 
     const std::vector<HbRace>& Races() const { return races_; }
     const HbStats& Stats() const { return stats_; }
+
+    /** Sync vars released and not yet retired by OnConsume. */
+    std::size_t LiveSyncVars() const { return sync_.size(); }
 
     /** When true, the first race panics instead of recording. */
     void SetFailFast(bool on) { fail_fast_ = on; }
@@ -221,17 +234,28 @@ class HbRaceDetector {
 
     VectorClock& ClockOf(sim::ActorId actor);
 
+    /** The sync var for @p key, created zeroed if not live. */
+    VectorClock& SyncVar(const SyncKey& key);
+
+    /** Joins sync-var clock @p sync into @p actor's clock. */
+    void Join(sim::ActorId actor, const VectorClock& sync);
+
     /** True when @p epoch happens-before @p actor's current view. */
     bool OrderedBefore(const Epoch& epoch, sim::ActorId actor);
 
     void Report(std::size_t line, const Epoch& prev, bool prev_is_write,
                 const Epoch& current, bool current_is_write);
 
+    using SyncMap = std::unordered_map<SyncKey, VectorClock, SyncKeyHash>;
+
     sim::Simulator& sim_;
     sim::ActorRegistry actors_;
     std::vector<VectorClock> clocks_;  ///< indexed by actor id - 1
     std::unordered_map<LineKey, LineState, LineKeyHash> lines_;
-    std::unordered_map<SyncKey, VectorClock, SyncKeyHash> sync_;
+    SyncMap sync_;
+    /** Retired sync-var nodes, reused (clock storage included) by
+        OnRelease so steady-state slot traffic does not allocate. */
+    std::vector<SyncMap::node_type> spare_sync_;
     std::vector<HbRace> races_;
     std::unordered_set<std::uint64_t> reported_;  ///< dedup keys
     HbStats stats_;

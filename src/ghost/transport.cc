@@ -42,6 +42,35 @@ Iota(int n)
     return cores;
 }
 
+/**
+ * Files @p pc at index @p core of a core-indexed table, growing it to
+ * fit; each core may be served once.
+ */
+template <typename PerCore>
+void
+ServeCore(std::vector<std::unique_ptr<PerCore>>& percore, int& served,
+          int core, std::unique_ptr<PerCore> pc)
+{
+    WAVE_ASSERT(core >= 0, "negative core id %d", core);
+    const auto index = static_cast<std::size_t>(core);
+    if (index >= percore.size()) percore.resize(index + 1);
+    WAVE_ASSERT(percore[index] == nullptr, "core %d is listed twice", core);
+    percore[index] = std::move(pc);
+    ++served;
+}
+
+/** The entry for @p core; asserts the transport serves it. */
+template <typename PerCore>
+PerCore&
+CoreEntry(const std::vector<std::unique_ptr<PerCore>>& percore, int core)
+{
+    const auto index = static_cast<std::size_t>(core);
+    WAVE_ASSERT(core >= 0 && index < percore.size() &&
+                    percore[index] != nullptr,
+                "core %d is not served by this transport", core);
+    return *percore[index];
+}
+
 }  // namespace
 
 WaveSchedTransport::WaveSchedTransport(WaveRuntime& runtime, int cores)
@@ -91,17 +120,14 @@ WaveSchedTransport::WaveSchedTransport(WaveRuntime& runtime,
                                    pc->decisions.host->HbActor());
             }
         });
-        percore_.emplace(core, std::move(pc));
+        ServeCore(percore_, served_cores_, core, std::move(pc));
     }
 }
 
 WaveSchedTransport::PerCore&
 WaveSchedTransport::For(int core)
 {
-    auto it = percore_.find(core);
-    WAVE_ASSERT(it != percore_.end(),
-                "core %d is not served by this transport", core);
-    return *it->second;
+    return CoreEntry(percore_, core);
 }
 
 // wave-lifetime(caller-awaits)
@@ -245,7 +271,7 @@ ShmSchedTransport::ShmSchedTransport(sim::Simulator& sim,
         pc->interrupt = std::make_unique<CoreInterrupt>(sim);
         CoreInterrupt* line = pc->interrupt.get();
         pc->ipi->SetDeliveryHandler([line] { line->Raise(); });
-        percore_.emplace(core, std::move(pc));
+        ServeCore(percore_, served_cores_, core, std::move(pc));
     }
 }
 
@@ -268,8 +294,10 @@ ShmSchedTransport::AttachCheckers(check::HbRaceDetector* hb,
             hb != nullptr  // wave-domain: host
                 ? hb->RegisterActor("shm-agent")
                 : 0);
-        for (auto& [core, pc] : percore_) {
-            (void)core;
+        // Ascending core order, so HB actor ids do not depend on the
+        // order the core set was listed in.
+        for (auto& pc : percore_) {
+            if (pc == nullptr) continue;
             const sim::ActorId agent =  // wave-domain: host
                 hb != nullptr ? hb->RegisterActor("shm-agent") : 0;
             const sim::ActorId core_loop =  // wave-domain: host
@@ -286,10 +314,7 @@ ShmSchedTransport::AttachCheckers(check::HbRaceDetector* hb,
 ShmSchedTransport::PerCore&
 ShmSchedTransport::For(int core)
 {
-    auto it = percore_.find(core);
-    WAVE_ASSERT(it != percore_.end(),
-                "core %d is not served by this transport", core);
-    return *it->second;
+    return CoreEntry(percore_, core);
 }
 
 // wave-lifetime(caller-awaits)

@@ -42,7 +42,12 @@ NicDram::RegisterHostMapping(HostMmioMapping* mapping)
 void
 NicDram::OnNicWrite(std::size_t offset, std::size_t n)
 {
+    const std::size_t first_line = offset / PcieConfig::kLineSize;
+    const std::size_t last_line = (offset + n - 1) / PcieConfig::kLineSize;
     for (HostMmioMapping* mapping : host_mappings_) {
+        // Most mappings cover other queues' lines: two end reads of the
+        // line cache rule them out without a lookup per line.
+        if (!mapping->MayCache(first_line, last_line)) continue;
         if (config_.coherent) {
             mapping->InvalidateLines(offset, n);
         } else {

@@ -203,6 +203,18 @@ class HostMmioMapping {
     /** Marks overlapped cached lines stale (non-coherent NIC write). */
     void MarkNicDirtied(std::size_t offset, std::size_t n);
 
+    /**
+     * False when no line in [first_line, last_line] can be cached
+     * (filled or in flight): the cache is empty, its lowest line lies
+     * past @p last_line, or its highest line lies before @p first_line.
+     */
+    bool
+    MayCache(std::size_t first_line, std::size_t last_line) const
+    {
+        return !cache_.empty() && cache_.begin()->first <= last_line &&
+               cache_.rbegin()->first >= first_line;
+    }
+
     NicDram& dram_;
     const PcieConfig& config_;
     PteType type_;

@@ -100,7 +100,8 @@ class ShmQueue {
                 checker_->OnShmAccess(out.size());
             }
             if (hb_ != nullptr) {
-                hb_->OnAcquire(consumer_actor_, this, received_);
+                // Each entry is dequeued once: retire its sync var.
+                hb_->OnConsume(consumer_actor_, this, received_);
                 hb_->OnAccess(consumer_actor_, this,
                               received_ * check::HbRaceDetector::kLineSize,
                               check::HbRaceDetector::kLineSize,

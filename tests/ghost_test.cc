@@ -87,7 +87,9 @@ TEST(CoreInterrupt, WaitForInterruptReturnsOnLatchedRaise)
 
 /** Builds a transport of either binding for parameterized tests. */
 struct TransportFixture {
-    explicit TransportFixture(bool wave, int cores = 2)
+    /** @p cores is a core count (cores 0..n-1) or an explicit core set. */
+    template <typename Cores = int>
+    explicit TransportFixture(bool wave, const Cores& cores = 2)
         : machine(sim),
           runtime(sim, machine, pcie::PcieConfig{},
                   api::OptimizationConfig::Full())
@@ -219,6 +221,55 @@ TEST_P(TransportTest, ConcurrentMessageSendersDoNotCorruptTheQueue)
     }(f, checked));
     f.sim.Run();
     EXPECT_TRUE(checked);
+}
+
+TEST_P(TransportTest, SparseCoreSetIsIndexedByCoreId)
+{
+    // One enclave's partition: cores that neither start at 0 nor are
+    // contiguous.
+    TransportFixture f(GetParam(), std::vector<int>{2, 5});
+    EXPECT_EQ(f.transport->CoreCount(), 2);
+    f.sim.Spawn([](TransportFixture& fx) -> Task<> {
+        GhostDecision d2{};
+        d2.type = DecisionType::kRunThread;
+        d2.tid = 20;
+        d2.core = 2;
+        GhostDecision d5 = d2;
+        d5.tid = 50;
+        d5.core = 5;
+        fx.transport->AgentStageDecision(d2);
+        fx.transport->AgentStageDecision(d5);
+        co_await fx.transport->AgentCommit(5, /*kick=*/true);
+        co_await fx.transport->InterruptFor(5).WaitForInterrupt();
+        EXPECT_TRUE(fx.transport->InterruptFor(5).ConsumeKick());
+        EXPECT_FALSE(fx.transport->InterruptFor(2).ConsumeKick());
+        co_await fx.transport->AgentCommit(2, /*kick=*/false);
+        co_await fx.sim.Delay(2_us);
+
+        auto p5 = co_await fx.transport->HostPollDecision(5, true);
+        auto p2 = co_await fx.transport->HostPollDecision(2, true);
+        CO_ASSERT(p5.has_value());
+        CO_ASSERT(p2.has_value());
+        EXPECT_EQ(p5->decision.tid, 50);
+        EXPECT_EQ(p2->decision.tid, 20);
+
+        co_await fx.transport->HostSendOutcome(
+            5, {p5->txn_id, api::TxnStatus::kCommitted});
+        co_await fx.sim.Delay(2_us);
+        auto outs2 = co_await fx.transport->AgentPollOutcomes(2, 4);
+        auto outs5 = co_await fx.transport->AgentPollOutcomes(5, 4);
+        EXPECT_TRUE(outs2.empty());
+        CO_ASSERT(outs5.size() == 1u);
+        EXPECT_EQ(outs5[0].txn_id, p5->txn_id);
+    }(f));
+    f.sim.Run();
+
+    // Cores below, between and above the served set are not served.
+    for (int core : {0, 3, 6, -1}) {
+        EXPECT_DEATH(f.transport->InterruptFor(core),
+                     "is not served by this transport")
+            << "core " << core;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Bindings, TransportTest,

@@ -14,6 +14,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "channel/mmio_queue.h"
@@ -22,6 +23,7 @@
 #include "sim/simulator.h"
 #include "sim/task.h"
 #include "wave/runtime.h"
+#include "wave/shm_queue.h"
 
 namespace wave {
 namespace {
@@ -174,6 +176,58 @@ TEST(HbRaceDetector, DistinctLinesNeverConflict)
     EXPECT_TRUE(hb.Races().empty());
 }
 
+TEST(HbRaceDetector, SecondAcquireOfAConsumedSyncVarAddsNoEdge)
+{
+    sim::Simulator sim;
+    HbRaceDetector hb(sim);
+    const sim::ActorId producer = hb.RegisterActor("producer");
+    const sim::ActorId consumer = hb.RegisterActor("consumer");
+    const sim::ActorId late = hb.RegisterActor("late-reader");
+    int slot = 0;
+
+    hb.OnAccess(producer, &slot, 0, 8, true, "publish");
+    hb.OnRelease(producer, &slot, /*tag=*/0);
+    EXPECT_EQ(hb.LiveSyncVars(), 1u);
+    hb.OnConsume(consumer, &slot, 0);
+    hb.OnAccess(consumer, &slot, 0, 8, false, "consume");
+    EXPECT_TRUE(hb.Races().empty());
+    EXPECT_EQ(hb.LiveSyncVars(), 0u);
+
+    // The slot's sync var is retired, so a second acquire joins nothing
+    // and the late read stays unordered with the producer's write.
+    hb.OnAcquire(late, &slot, 0);
+    hb.OnAccess(late, &slot, 0, 8, false, "late-read");
+    ASSERT_EQ(hb.Races().size(), 1u);
+    EXPECT_STREQ(hb.Races().front().first.label, "publish");
+    EXPECT_STREQ(hb.Races().front().second.label, "late-read");
+    EXPECT_EQ(hb.Stats().acquires, 2u);
+}
+
+TEST(HbRaceDetector, ReusedSyncVarStorageStartsFromAnEmptyClock)
+{
+    sim::Simulator sim;
+    HbRaceDetector hb(sim);
+    const sim::ActorId a = hb.RegisterActor("a");
+    const sim::ActorId b = hb.RegisterActor("b");
+    const sim::ActorId c = hb.RegisterActor("c");
+    const sim::ActorId d = hb.RegisterActor("d");
+    int region = 0;
+    int flag = 0;
+
+    // B retires a sync var carrying A's clock; its storage is reused
+    // for C's release, which must not hand A's history on to D.
+    hb.OnAccess(a, &region, 0, 8, true, "a-write");
+    hb.OnRelease(a, &flag, 0);
+    hb.OnConsume(b, &flag, 0);
+    hb.OnRelease(c, &flag, 1);
+    hb.OnConsume(d, &flag, 1);
+    hb.OnAccess(d, &region, 0, 8, true, "d-write");
+
+    ASSERT_EQ(hb.Races().size(), 1u);
+    EXPECT_STREQ(hb.Races().front().first.label, "a-write");
+    EXPECT_STREQ(hb.Races().front().second.label, "d-write");
+}
+
 TEST(HbRaceDetector, AllowUnorderedSuppressesTheReport)
 {
     sim::Simulator sim;
@@ -285,6 +339,68 @@ TEST(HbRaceDetector, SingleProducerConsumerFlowIsRaceFreeAcrossLaps)
     EXPECT_EQ(w.runtime.Hb()->Stats().writes, 12u);
     EXPECT_GT(w.runtime.Hb()->Stats().acquires, 0u);
     EXPECT_TRUE(w.runtime.Protocol()->Violations().empty());
+}
+
+TEST(HbRaceDetector, MmioSlotClocksRetireOnConsume)
+{
+    constexpr std::size_t kCapacity = 4;
+    QueueWorld w(kCapacity);
+    HbRaceDetector& hb = *w.runtime.Hb();
+    std::size_t max_live = 0;
+    std::size_t received = 0;
+
+    RunToCompletion(w.sim, [&]() -> sim::Task<> {
+        // 10 laps, each filling the ring before draining it, so every
+        // slot is in flight at once.
+        const std::vector<channel::Bytes> batch{w.Msg()};
+        for (int lap = 0; lap < 10; ++lap) {
+            while ((co_await w.chan.host->Send(batch)) == 1) {
+                max_live = std::max(max_live, hb.LiveSyncVars());
+            }
+            co_await w.sim.Delay(1_us);  // let the posted stores land
+            while ((co_await w.chan.nic->Poll()).has_value()) {
+                ++received;
+            }
+        }
+    });
+
+    for (const auto& race : hb.Races()) {
+        ADD_FAILURE() << race.Describe();
+    }
+    EXPECT_GE(received, 10 * kCapacity);
+    // In-flight slots plus the consumed-counter sync var; without
+    // retirement this would be one per message ever sent.
+    EXPECT_LE(max_live, kCapacity + 1);
+    EXPECT_LE(hb.LiveSyncVars(), 1u);
+}
+
+TEST(HbRaceDetector, ShmSlotClocksRetireOnConsume)
+{
+    constexpr std::size_t kCapacity = 4;
+    sim::Simulator sim;
+    HbRaceDetector hb(sim);
+    ShmQueue queue(sim, kCapacity);
+    queue.BindCheckers(&hb, nullptr, hb.RegisterActor("shm-producer"),
+                       hb.RegisterActor("shm-consumer"));
+    std::size_t max_live = 0;
+
+    RunToCompletion(sim, [&]() -> sim::Task<> {
+        const std::vector<std::vector<std::byte>> batch(
+            kCapacity, std::vector<std::byte>(8));
+        for (int lap = 0; lap < 10; ++lap) {
+            co_await queue.Send(batch);
+            max_live = std::max(max_live, hb.LiveSyncVars());
+            while ((co_await queue.Poll()).has_value()) {
+            }
+        }
+    });
+
+    for (const auto& race : hb.Races()) {
+        ADD_FAILURE() << race.Describe();
+    }
+    EXPECT_EQ(queue.Consumed(), 10 * kCapacity);
+    EXPECT_EQ(max_live, kCapacity);
+    EXPECT_EQ(hb.LiveSyncVars(), 0u);
 }
 
 }  // namespace

@@ -188,18 +188,70 @@ TEST(Mmio, CoherentInterconnectInvalidatesInHardware)
     ASSERT_TRUE(cfg.coherent);
     NicDram dram(sim, cfg, 4096);
     HostMmioMapping host(dram, PteType::kWriteBack);
+    HostMmioMapping other(dram, PteType::kWriteBack);  // another queue
     NicLocalMapping nic(dram, PteType::kWriteBack);
 
-    RunSim(sim, [](HostMmioMapping& h, NicLocalMapping& n) -> Task<> {
+    RunSim(sim, [](HostMmioMapping& h, HostMmioMapping& o,
+                   NicLocalMapping& n) -> Task<> {
         std::uint64_t out = 0;
         co_await h.Read(0, &out, sizeof(out));
+        co_await o.Read(2 * PcieConfig::kLineSize, &out, sizeof(out));
         const std::uint64_t decision = 55;
         co_await n.Write(0, &decision, sizeof(decision));
         // No clflush needed: hardware coherence invalidated the line.
         co_await h.Read(0, &out, sizeof(out));
         EXPECT_EQ(out, 55u);
         EXPECT_EQ(h.Stats().stale_reads, 0u);
-    }(host, nic));
+        // The other mapping's line was not stored to and stays cached.
+        co_await o.Read(2 * PcieConfig::kLineSize, &out, sizeof(out));
+    }(host, other, nic));
+    EXPECT_EQ(host.Stats().pcie_reads, 2u);
+    EXPECT_EQ(other.Stats().pcie_reads, 1u);
+    EXPECT_EQ(other.Stats().cache_hits, 1u);
+}
+
+TEST(Mmio, NicStoreMarksOnlyTheMappingThatCachesTheLine)
+{
+    // Two WT host mappings over disjoint lines of one NIC DRAM, like
+    // two queues: A caches line 0, B caches lines 2 and 4.
+    Simulator sim;
+    PcieConfig cfg;
+    NicDram dram(sim, cfg, 4096);
+    HostMmioMapping a(dram, PteType::kWriteThrough);
+    HostMmioMapping b(dram, PteType::kWriteThrough);
+    NicLocalMapping nic(dram, PteType::kWriteBack);
+    constexpr std::size_t kLine = PcieConfig::kLineSize;
+
+    RunSim(sim, [](HostMmioMapping& ha, HostMmioMapping& hb,
+                   NicLocalMapping& n) -> Task<> {
+        std::uint64_t out = 0;
+        co_await ha.Read(0, &out, sizeof(out));
+        co_await hb.Read(2 * kLine, &out, sizeof(out));
+        co_await hb.Read(4 * kLine, &out, sizeof(out));
+
+        // Stores to lines neither mapping caches: line 1 lies outside
+        // both cached ranges, line 3 inside B's but is not cached.
+        const std::uint64_t value = 7;
+        co_await n.Write(1 * kLine, &value, sizeof(value));
+        co_await n.Write(3 * kLine, &value, sizeof(value));
+        co_await ha.Read(0, &out, sizeof(out));
+        co_await hb.Read(2 * kLine, &out, sizeof(out));
+        co_await hb.Read(4 * kLine, &out, sizeof(out));
+        EXPECT_EQ(ha.Stats().stale_reads, 0u);
+        EXPECT_EQ(hb.Stats().stale_reads, 0u);
+
+        // A store to A's cached line makes A's next read stale and
+        // leaves B untouched.
+        co_await n.Write(0, &value, sizeof(value));
+        co_await ha.Read(0, &out, sizeof(out));
+        EXPECT_EQ(out, 0u) << "A's cached copy predates the store";
+        co_await hb.Read(2 * kLine, &out, sizeof(out));
+        co_await hb.Read(4 * kLine, &out, sizeof(out));
+        EXPECT_EQ(ha.Stats().stale_reads, 1u);
+        EXPECT_EQ(hb.Stats().stale_reads, 0u);
+    }(a, b, nic));
+    EXPECT_EQ(a.Stats().pcie_reads, 1u);
+    EXPECT_EQ(b.Stats().pcie_reads, 2u);
 }
 
 TEST(Mmio, PrefetchHidesReadLatency)
