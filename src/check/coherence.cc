@@ -79,7 +79,7 @@ CoherenceChecker::RecordRemoteWrite(const void* region, std::size_t offset,
     const std::size_t first = LineOf(offset);
     const std::size_t last = LineOf(offset + n - 1);
     for (std::size_t line = first; line <= last; ++line) {
-        LineState& state = State(region, line);
+        LineState& state = lines_.At(region, line);
         state.last_remote_write = site;
         if (state.host_cached) {
             state.stale = true;
@@ -99,7 +99,7 @@ CoherenceChecker::OnRead(const void* region, Domain domain,
     const std::size_t first = LineOf(offset);
     const std::size_t last = LineOf(offset + n - 1);
     for (std::size_t line = first; line <= last; ++line) {
-        LineState* state = Find(region, line);
+        LineState* state = lines_.Find(region, line);
         if (state == nullptr) continue;
         if (domain == Domain::kHost && from_host_cache && state->stale) {
             if (tolerate_stale) {
@@ -121,7 +121,7 @@ void
 CoherenceChecker::OnCacheFill(const void* region, std::size_t line)
 {
     stats_.cache_fills += 1;
-    LineState& state = State(region, line);
+    LineState& state = lines_.At(region, line);
     state.host_cached = true;
     state.stale = false;
 }
@@ -130,7 +130,7 @@ void
 CoherenceChecker::OnCacheDrop(const void* region, std::size_t line)
 {
     stats_.cache_drops += 1;
-    LineState* state = Find(region, line);
+    LineState* state = lines_.Find(region, line);
     if (state == nullptr) return;
     state->host_cached = false;
     state->stale = false;
@@ -145,7 +145,7 @@ CoherenceChecker::OnWcBuffered(const void* region, std::size_t offset,
     const std::size_t first = LineOf(offset);
     const std::size_t last = LineOf(offset + n - 1);
     for (std::size_t line = first; line <= last; ++line) {
-        LineState& state = State(region, line);
+        LineState& state = lines_.At(region, line);
         state.wc_pending = true;
         state.last_wc_store =
             AccessSite{site, Domain::kHost, offset, n, sim_.Now()};
@@ -161,7 +161,7 @@ CoherenceChecker::OnWcDrained(const void* region, std::size_t offset,
     const std::size_t first = LineOf(offset);
     const std::size_t last = LineOf(offset + n - 1);
     for (std::size_t line = first; line <= last; ++line) {
-        LineState* state = Find(region, line);
+        LineState* state = lines_.Find(region, line);
         if (state != nullptr) {
             state->wc_pending = false;
         }
@@ -208,7 +208,7 @@ CoherenceChecker::Report(ViolationKind kind, std::size_t line,
 void
 CoherenceChecker::Clear()
 {
-    lines_.clear();
+    lines_.Clear();
     violations_.clear();
     reported_.clear();
     stats_ = CheckerStats{};

@@ -40,10 +40,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "check/region_lines.h"
 #include "sim/time.h"
 
 namespace wave::sim {
@@ -193,41 +193,9 @@ class CoherenceChecker {
         AccessSite last_wc_store;
     };
 
-    /** Key for the (region, line) shadow map. */
-    struct LineKey {
-        const void* region;
-        std::size_t line;
-
-        bool
-        operator==(const LineKey& other) const
-        {
-            return region == other.region && line == other.line;
-        }
-    };
-
-    struct LineKeyHash {
-        std::size_t
-        operator()(const LineKey& key) const
-        {
-            return std::hash<const void*>()(key.region) ^
-                   (key.line * 0x9e3779b97f4a7c15ULL);
-        }
-    };
-
     static std::size_t LineOf(std::size_t offset)
     {
         return offset / kLineSize;
-    }
-
-    LineState& State(const void* region, std::size_t line)
-    {
-        return lines_[LineKey{region, line}];
-    }
-
-    LineState* Find(const void* region, std::size_t line)
-    {
-        auto it = lines_.find(LineKey{region, line});
-        return it == lines_.end() ? nullptr : &it->second;
     }
 
     void RecordRemoteWrite(const void* region, std::size_t offset,
@@ -236,7 +204,7 @@ class CoherenceChecker {
                 const AccessSite& read, const AccessSite& write);
 
     sim::Simulator& sim_;
-    std::unordered_map<LineKey, LineState, LineKeyHash> lines_;
+    RegionLines<LineState> lines_;  ///< shadow lines, paged per region
     std::vector<Violation> violations_;
     std::unordered_set<std::uint64_t> reported_;  ///< dedup keys
     CheckerStats stats_;

@@ -84,8 +84,9 @@ HbRaceDetector::OnAccess(sim::ActorId actor, const void* region,
     const std::uint64_t clock = vc[actor - 1];
     const std::size_t first = LineOf(offset);
     const std::size_t last = LineOf(offset + n - 1);
+    sim::LineTable<LineState>& table = lines_.Of(region);
     for (std::size_t line = first; line <= last; ++line) {
-        LineState& state = lines_[LineKey{region, line}];
+        LineState& state = table.At(line);
         const Epoch current{actor, clock, site, offset, n, sim_.Now()};
         if (state.allow_unordered) {
             stats_.allowed_unordered += 1;
@@ -194,7 +195,7 @@ HbRaceDetector::AllowUnordered(const void* region, std::size_t offset,
     const std::size_t first = LineOf(offset);
     const std::size_t last = LineOf(offset + n - 1);
     for (std::size_t line = first; line <= last; ++line) {
-        lines_[LineKey{region, line}].allow_unordered = true;
+        lines_.At(region, line).allow_unordered = true;
     }
 }
 
@@ -238,7 +239,7 @@ HbRaceDetector::Clear()
     for (VectorClock& vc : clocks_) {
         std::fill(vc.begin(), vc.end(), 0);
     }
-    lines_.clear();
+    lines_.Clear();
     sync_.clear();
     races_.clear();
     reported_.clear();

@@ -42,6 +42,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "check/region_lines.h"
 #include "sim/actor.h"
 #include "sim/time.h"
 
@@ -187,26 +188,6 @@ class HbRaceDetector {
         bool allow_unordered = false;
     };
 
-    struct LineKey {
-        const void* region;
-        std::size_t line;
-
-        bool
-        operator==(const LineKey& other) const
-        {
-            return region == other.region && line == other.line;
-        }
-    };
-
-    struct LineKeyHash {
-        std::size_t
-        operator()(const LineKey& key) const
-        {
-            return std::hash<const void*>()(key.region) ^
-                   (key.line * 0x9e3779b97f4a7c15ULL);
-        }
-    };
-
     struct SyncKey {
         const void* obj;
         std::uint64_t tag;
@@ -251,7 +232,7 @@ class HbRaceDetector {
     sim::Simulator& sim_;
     sim::ActorRegistry actors_;
     std::vector<VectorClock> clocks_;  ///< indexed by actor id - 1
-    std::unordered_map<LineKey, LineState, LineKeyHash> lines_;
+    RegionLines<LineState> lines_;  ///< shadow lines, paged per region
     SyncMap sync_;
     /** Retired sync-var nodes, reused (clock storage included) by
         OnRelease so steady-state slot traffic does not allocate. */

@@ -45,8 +45,8 @@ NicDram::OnNicWrite(std::size_t offset, std::size_t n)
     const std::size_t first_line = offset / PcieConfig::kLineSize;
     const std::size_t last_line = (offset + n - 1) / PcieConfig::kLineSize;
     for (HostMmioMapping* mapping : host_mappings_) {
-        // Most mappings cover other queues' lines: two end reads of the
-        // line cache rule them out without a lookup per line.
+        // Most mappings cover other queues' lines: two compares against
+        // the cached-line bounds rule them out without a per-line lookup.
         if (!mapping->MayCache(first_line, last_line)) continue;
         if (config_.coherent) {
             mapping->InvalidateLines(offset, n);
@@ -125,11 +125,11 @@ HostMmioMapping::ReadCachedWt(std::size_t offset, void* dst, std::size_t n,
     const std::size_t last_line = LineOf(offset + n - 1);
 
     for (std::size_t line = first_line; line <= last_line; ++line) {
-        auto it = cache_.find(line);
-        if (it != cache_.end() && !it->second.data.empty()) {
+        const CacheLine* cached = Find(line);
+        if (cached != nullptr && cached->filled) {
             // Filled line in cache: a hit, possibly a stale one.
             stats_.cache_hits += 1;
-            if (it->second.nic_dirtied) stats_.stale_reads += 1;
+            if (cached->nic_dirtied) stats_.stale_reads += 1;
             WAVE_CHECK_HOOK({
                 if (auto* checker = dram_.Checker()) {
                     const LineSpan span = ClampToLine(line, offset, n);
@@ -143,16 +143,15 @@ HostMmioMapping::ReadCachedWt(std::size_t offset, void* dst, std::size_t n,
             co_await dram_.Sim().Delay(config_.cache_hit_ns);
             continue;
         }
-        if (it != cache_.end() &&
-            it->second.fill_done > dram_.Sim().Now()) {
+        if (cached != nullptr && cached->fill_done > dram_.Sim().Now()) {
             // Prefetch in flight: wait for the remainder only.
             stats_.prefetch_hits += 1;
-            co_await dram_.Sim().Delay(it->second.fill_done -
+            co_await dram_.Sim().Delay(cached->fill_done -
                                        dram_.Sim().Now());
-        } else if (it != cache_.end()) {
+        } else if (cached != nullptr) {
             // A completed prefetch whose snapshot event already landed
-            // would have non-empty data (handled above); an empty entry
-            // here means the snapshot races with us at this timestamp.
+            // would be filled (handled above); an unfilled entry here
+            // means the snapshot races with us at this timestamp.
             stats_.prefetch_hits += 1;
             co_await dram_.Sim().Delay(config_.cache_hit_ns);
         } else {
@@ -162,14 +161,9 @@ HostMmioMapping::ReadCachedWt(std::size_t offset, void* dst, std::size_t n,
                                        ExtraPcieDelay());
         }
         // Snapshot the line's current contents into the host cache. Use
-        // operator[] again: a clflush may have raced with the fill.
-        CacheLine& cl = cache_[line];
-        cl.data.resize(kLine);
-        const std::size_t base = line * kLine;
-        const std::size_t len =
-            std::min(kLine, dram_.Backing().Size() - base);
-        dram_.Backing().ReadRaw(base, cl.data.data(), len);
-        cl.nic_dirtied = false;
+        // Slot again: a clflush may have raced with the fill.
+        CacheLine& cl = Slot(line);
+        Snapshot(line, cl);
         cl.fill_done = dram_.Sim().Now();
         WAVE_CHECK_HOOK({
             if (auto* checker = dram_.Checker()) {
@@ -193,10 +187,10 @@ HostMmioMapping::ReadCachedWt(std::size_t offset, void* dst, std::size_t n,
         const std::size_t line = LineOf(offset + i);
         const std::size_t line_off = (offset + i) % kLine;
         const std::size_t chunk = std::min(kLine - line_off, n - i);
-        const auto it = cache_.find(line);
-        if (it != cache_.end() && !it->second.data.empty()) {
+        const CacheLine* cached = Find(line);
+        if (cached != nullptr && cached->filled) {
             std::memcpy(static_cast<std::byte*>(dst) + i,
-                        it->second.data.data() + line_off, chunk);
+                        cached->data.data() + line_off, chunk);
         } else {
             WAVE_ASSERT(config_.coherent,
                         "line vanished mid-read on a non-coherent link");
@@ -224,6 +218,47 @@ void
 HostMmioMapping::RecyclePostedBuf(std::vector<std::byte>&& buf)
 {
     posted_pool_.push_back(std::move(buf));
+}
+
+HostMmioMapping::CacheLine&
+HostMmioMapping::Slot(std::size_t line)
+{
+    CacheLine& cl = cache_.At(line);
+    if (cl.present) return cl;
+    cl.present = true;  // filled is already false: Erase clears both
+    cl.nic_dirtied = false;
+    cl.fill_done = sim::TimeNs{};
+    if (present_lines_ == 0) {
+        present_lo_ = line;
+        present_hi_ = line;
+    } else {
+        present_lo_ = std::min(present_lo_, line);
+        present_hi_ = std::max(present_hi_, line);
+    }
+    present_lines_ += 1;
+    return cl;
+}
+
+bool
+HostMmioMapping::Erase(std::size_t line)
+{
+    CacheLine* cl = Find(line);
+    if (cl == nullptr) return false;
+    cl->present = false;
+    cl->filled = false;
+    present_lines_ -= 1;
+    return true;
+}
+
+void
+HostMmioMapping::Snapshot(std::size_t line, CacheLine& cl)
+{
+    constexpr std::size_t kLine = PcieConfig::kLineSize;
+    const std::size_t base = line * kLine;
+    const std::size_t len = std::min(kLine, dram_.Backing().Size() - base);
+    dram_.Backing().ReadRaw(base, cl.data.data(), len);
+    cl.filled = true;
+    cl.nic_dirtied = false;
 }
 
 void
@@ -305,9 +340,9 @@ HostMmioMapping::Write(std::size_t offset, const void* src, std::size_t n)
             const std::size_t line = LineOf(offset + i);
             const std::size_t line_off = (offset + i) % kLine;
             const std::size_t chunk = std::min(kLine - line_off, n - i);
-            auto it = cache_.find(line);
-            if (it != cache_.end() && !it->second.data.empty()) {
-                std::memcpy(it->second.data.data() + line_off,
+            CacheLine* cached = Find(line);
+            if (cached != nullptr && cached->filled) {
+                std::memcpy(cached->data.data() + line_off,
                             static_cast<const std::byte*>(src) + i, chunk);
             }
             i += chunk;
@@ -366,27 +401,20 @@ HostMmioMapping::Prefetch(std::size_t offset, std::size_t n)
     const std::size_t first_line = LineOf(offset);
     const std::size_t last_line = LineOf(offset + n - 1);
     for (std::size_t line = first_line; line <= last_line; ++line) {
-        auto it = cache_.find(line);
-        if (it != cache_.end()) continue;  // cached or already in flight
-        CacheLine& cl = cache_[line];
+        if (Find(line) != nullptr) continue;  // cached or in flight
+        CacheLine& cl = Slot(line);
         const sim::TimeNs fill_done =
             dram_.Sim().Now() + config_.mmio_read_ns + ExtraPcieDelay();
         cl.fill_done = fill_done;
         // Snapshot the line contents when the fill lands, so the data in
         // the host cache is as-of fill time even if read much later.
         dram_.Sim().ScheduleAt(fill_done, [this, line, fill_done] {
-            auto entry = cache_.find(line);
-            if (entry == cache_.end() || !entry->second.data.empty() ||
-                entry->second.fill_done != fill_done) {
+            CacheLine* entry = Find(line);
+            if (entry == nullptr || entry->filled ||
+                entry->fill_done != fill_done) {
                 return;  // clflushed or refilled in the meantime
             }
-            constexpr std::size_t kLine = PcieConfig::kLineSize;
-            entry->second.data.resize(kLine);
-            const std::size_t base = line * kLine;
-            const std::size_t len =
-                std::min(kLine, dram_.Backing().Size() - base);
-            dram_.Backing().ReadRaw(base, entry->second.data.data(), len);
-            entry->second.nic_dirtied = false;
+            Snapshot(line, *entry);
             WAVE_CHECK_HOOK({
                 if (auto* checker = dram_.Checker()) {
                     checker->OnCacheFill(&dram_.Backing(), line);
@@ -404,7 +432,7 @@ HostMmioMapping::Clflush(std::size_t offset, std::size_t n)
     const std::size_t last_line = LineOf(offset + n - 1);
     sim::DurationNs cost = 0;
     for (std::size_t line = first_line; line <= last_line; ++line) {
-        if (cache_.erase(line) > 0) {
+        if (Erase(line)) {
             stats_.clflushes += 1;
             cost += config_.clflush_ns;
             WAVE_CHECK_HOOK({
@@ -430,7 +458,7 @@ HostMmioMapping::InvalidateLines(std::size_t offset, std::size_t n)
     const std::size_t first_line = LineOf(offset);
     const std::size_t last_line = LineOf(offset + n - 1);
     for (std::size_t line = first_line; line <= last_line; ++line) {
-        if (cache_.erase(line) > 0) {
+        if (Erase(line)) {
             WAVE_CHECK_HOOK({
                 if (auto* checker = dram_.Checker()) {
                     checker->OnCacheDrop(&dram_.Backing(), line);
@@ -446,9 +474,9 @@ HostMmioMapping::MarkNicDirtied(std::size_t offset, std::size_t n)
     const std::size_t first_line = LineOf(offset);
     const std::size_t last_line = LineOf(offset + n - 1);
     for (std::size_t line = first_line; line <= last_line; ++line) {
-        auto it = cache_.find(line);
-        if (it != cache_.end() && !it->second.data.empty()) {
-            it->second.nic_dirtied = true;
+        CacheLine* cached = Find(line);
+        if (cached != nullptr && cached->filled) {
+            cached->nic_dirtied = true;
         }
     }
 }

@@ -34,11 +34,11 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "pcie/config.h"
 #include "pcie/memory.h"
+#include "sim/line_table.h"
 #include "sim/simulator.h"
 #include "sim/task.h"
 
@@ -164,10 +164,16 @@ class HostMmioMapping {
   private:
     friend class NicDram;
 
+    /**
+     * One WT cache line. The bytes live inline, so a fill or a refill
+     * after clflush never allocates.
+     */
     struct CacheLine {
-        std::vector<std::byte> data;  ///< empty while fill is in flight
+        std::array<std::byte, PcieConfig::kLineSize> data{};
         sim::TimeNs fill_done{};    ///< when an in-flight fill lands
-        bool nic_dirtied = false;     ///< NIC wrote since we cached it
+        bool present = false;       ///< cached, or a fill is in flight
+        bool filled = false;        ///< data holds a snapshot
+        bool nic_dirtied = false;   ///< NIC wrote since we cached it
     };
 
     static std::size_t LineOf(std::size_t offset)
@@ -203,16 +209,34 @@ class HostMmioMapping {
     /** Marks overlapped cached lines stale (non-coherent NIC write). */
     void MarkNicDirtied(std::size_t offset, std::size_t n);
 
+    /** The present (cached or in-flight) @p line, or nullptr. */
+    CacheLine*
+    Find(std::size_t line)
+    {
+        CacheLine* cl = cache_.Find(line);
+        return cl != nullptr && cl->present ? cl : nullptr;
+    }
+
+    /** @p line's entry, made present (empty, not filled) if absent. */
+    CacheLine& Slot(std::size_t line);
+
+    /** Drops @p line; false when it was not present. */
+    bool Erase(std::size_t line);
+
+    /** Copies @p line's current bytes into @p cl and marks it filled. */
+    void Snapshot(std::size_t line, CacheLine& cl);
+
     /**
      * False when no line in [first_line, last_line] can be cached
-     * (filled or in flight): the cache is empty, its lowest line lies
-     * past @p last_line, or its highest line lies before @p first_line.
+     * (filled or in flight): the cache is empty, or the range lies
+     * wholly below or above the lines made present since the cache
+     * was last empty.
      */
     bool
     MayCache(std::size_t first_line, std::size_t last_line) const
     {
-        return !cache_.empty() && cache_.begin()->first <= last_line &&
-               cache_.rbegin()->first >= first_line;
+        return present_lines_ > 0 && present_lo_ <= last_line &&
+               present_hi_ >= first_line;
     }
 
     NicDram& dram_;
@@ -220,8 +244,12 @@ class HostMmioMapping {
     PteType type_;
     MmioStats stats_;
 
-    // WT line cache, keyed by line index.
-    std::map<std::size_t, CacheLine> cache_;
+    // WT line cache, indexed by line. present_lo_/present_hi_ bound
+    // every line made present since the cache was last empty.
+    sim::LineTable<CacheLine> cache_;
+    std::size_t present_lines_ = 0;
+    std::size_t present_lo_ = 0;
+    std::size_t present_hi_ = 0;
 
     /**
      * Visibility time of the last posted burst. Injected latency spikes

@@ -18,14 +18,17 @@
 
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "channel/dma_queue.h"
+#include "check/coherence.h"
 #include "machine/cpu.h"
 #include "offload/kernels.h"
 #include "offload/packet.h"
 #include "offload/pipeline.h"
 #include "offload/stage.h"
+#include "pcie/mmio.h"
 #include "sim/alloc_guard.h"
 #include "sim/simulator.h"
 #include "sim/sync.h"
@@ -218,6 +221,51 @@ TEST(AllocGuard, DmaQueueSendPollLoopIsAllocationFreeInSteadyState)
     EXPECT_EQ(polled,
               static_cast<std::uint64_t>(kWarmupRounds + kMeasuredRounds) *
                   8);
+}
+
+TEST(AllocGuard, WtRefillAfterClflushIsAllocationFreeInSteadyState)
+{
+    // The software-coherence cycle of a WT-mapped queue slot, with the
+    // coherence checker attached: the host clflushes the line, re-reads
+    // it (a refill over PCIe), and the NIC stores to it again. The
+    // cached line keeps its bytes inline, so the refill reuses them.
+    constexpr int kWarmupRounds = 4;
+    constexpr int kMeasuredRounds = 64;
+
+    Simulator sim;
+    pcie::PcieConfig config;
+    pcie::NicDram dram(sim, config, 4096);
+    check::CoherenceChecker checker(sim);
+    dram.AttachChecker(&checker);
+    pcie::HostMmioMapping host(dram, pcie::PteType::kWriteThrough);
+    pcie::NicLocalMapping nic(dram, pcie::PteType::kWriteBack);
+
+    std::uint64_t last_seen = 0;
+    std::uint64_t measured_allocs = ~0ull;
+    sim.Spawn([](pcie::HostMmioMapping& h, pcie::NicLocalMapping& n,
+                 std::uint64_t& seen, std::uint64_t& allocs) -> Task<> {
+        constexpr std::size_t kSlot = 128;  // line 2
+        std::uint64_t value = 0;
+        std::optional<AllocGuard> guard;
+        for (int r = 0; r < kWarmupRounds + kMeasuredRounds; ++r) {
+            if (r == kWarmupRounds) guard.emplace();
+            co_await h.Clflush(kSlot, sizeof(value));
+            co_await h.Read(kSlot, &seen, sizeof(seen));
+            ++value;
+            co_await n.Write(kSlot, &value, sizeof(value));
+        }
+        allocs = guard->Allocations();
+    }(host, nic, last_seen, measured_allocs));
+    sim.Run();
+
+    EXPECT_EQ(measured_allocs, 0u)
+        << "a WT refill after clflush should reuse the cached line";
+    EXPECT_EQ(last_seen, static_cast<std::uint64_t>(kWarmupRounds +
+                                                    kMeasuredRounds - 1));
+    EXPECT_TRUE(checker.Violations().empty());
+    EXPECT_EQ(host.Stats().clflushes,
+              static_cast<std::uint64_t>(kWarmupRounds + kMeasuredRounds -
+                                         1));
 }
 
 offload::FiveTuple

@@ -255,6 +255,60 @@ TEST(CoherenceChecker, CoherentInterconnectNeedsNoClflush)
     EXPECT_TRUE(checker.Violations().empty());
 }
 
+TEST(CoherenceChecker, SameLineInTwoRegionsNeverAliases)
+{
+    sim::Simulator sim;
+    CoherenceChecker checker(sim);
+    int region_a = 0;
+    int region_b = 0;
+
+    // The host caches line 0 of A; the NIC writes line 0 of B. A's
+    // cached copy is still fresh.
+    checker.OnCacheFill(&region_a, 0);
+    checker.OnWrite(&region_b, Domain::kNic, 0, 8, "nic-write-b");
+    checker.OnRead(&region_a, Domain::kHost, 0, 8, /*from_host_cache=*/true,
+                   /*tolerate_stale=*/false, "host-read-a");
+    // Host WC stores parked on line 0 of A do not make a NIC read of
+    // line 0 of B unflushed.
+    checker.OnWcBuffered(&region_a, 0, 8, "host-wc-a");
+    checker.OnRead(&region_b, Domain::kNic, 0, 8, /*from_host_cache=*/false,
+                   /*tolerate_stale=*/false, "nic-read-b");
+    EXPECT_TRUE(checker.Violations().empty());
+
+    // The same write to A itself does make the cached copy stale.
+    checker.OnWrite(&region_a, Domain::kNic, 0, 8, "nic-write-a");
+    checker.OnRead(&region_a, Domain::kHost, 0, 8, /*from_host_cache=*/true,
+                   /*tolerate_stale=*/false, "host-read-a");
+    ASSERT_EQ(checker.Violations().size(), 1u);
+    EXPECT_STREQ(checker.Violations().front().write.label, "nic-write-a");
+}
+
+TEST(CoherenceChecker, AccessesAfterClearStartClean)
+{
+    sim::Simulator sim;
+    CoherenceChecker checker(sim);
+    int old_region = 0;
+    int fresh_region = 0;
+
+    checker.OnCacheFill(&old_region, 3);
+    checker.OnWrite(&old_region, Domain::kNic, 3 * 64, 8, "nic-write");
+    checker.OnRead(&old_region, Domain::kHost, 3 * 64, 8, true, false,
+                   "host-read");
+    ASSERT_EQ(checker.Violations().size(), 1u);
+
+    checker.Clear();
+    EXPECT_TRUE(checker.Violations().empty());
+    // The last region looked up before Clear() is gone: touching it
+    // again, or a fresh one, starts from untouched lines.
+    checker.OnRead(&old_region, Domain::kHost, 3 * 64, 8, true, false,
+                   "host-read");
+    checker.OnCacheFill(&fresh_region, 3);
+    checker.OnWrite(&old_region, Domain::kNic, 3 * 64, 8, "nic-write");
+    checker.OnRead(&fresh_region, Domain::kHost, 3 * 64, 8, true, false,
+                   "host-read");
+    EXPECT_TRUE(checker.Violations().empty());
+}
+
 // --- Determinism auditor ---------------------------------------------
 
 TEST(DeterminismAuditor, EventHashIsRunToRunReproducible)

@@ -173,7 +173,44 @@ TEST(HbRaceDetector, DistinctLinesNeverConflict)
     hb.OnAccess(a, &region, 0, 8, true, "line-0");
     hb.OnAccess(b, &region, HbRaceDetector::kLineSize, 8, true, "line-1");
 
+    // The same line index in another region is another line.
+    int other = 0;
+    hb.OnAccess(b, &other, 0, 8, true, "other-line-0");
     EXPECT_TRUE(hb.Races().empty());
+
+    // An AllowUnordered annotation covers its own region only.
+    hb.AllowUnordered(&region, 2 * HbRaceDetector::kLineSize, 8);
+    hb.OnAccess(a, &other, 2 * HbRaceDetector::kLineSize, 8, true,
+                "other-a");
+    hb.OnAccess(b, &other, 2 * HbRaceDetector::kLineSize, 8, true,
+                "other-b");
+    ASSERT_EQ(hb.Races().size(), 1u);
+    EXPECT_STREQ(hb.Races().front().second.label, "other-b");
+}
+
+TEST(HbRaceDetector, AccessesAfterClearStartClean)
+{
+    sim::Simulator sim;
+    HbRaceDetector hb(sim);
+    const sim::ActorId a = hb.RegisterActor("a");
+    const sim::ActorId b = hb.RegisterActor("b");
+    int region = 0;
+    int fresh = 0;
+
+    hb.OnAccess(a, &region, 0, 8, true, "a-write");
+    hb.OnAccess(b, &region, 0, 8, true, "b-write");
+    ASSERT_EQ(hb.Races().size(), 1u);
+
+    hb.Clear();
+    EXPECT_TRUE(hb.Races().empty());
+    // The region looked up last before Clear() starts untouched, as
+    // does a fresh one; actors persist.
+    hb.OnAccess(b, &region, 0, 8, true, "b-write-again");
+    hb.OnAccess(a, &fresh, 0, 8, false, "a-fresh-read");
+    EXPECT_TRUE(hb.Races().empty());
+    hb.OnAccess(b, &fresh, 0, 8, true, "b-fresh");
+    ASSERT_EQ(hb.Races().size(), 1u);
+    EXPECT_STREQ(hb.Races().front().first.label, "a-fresh-read");
 }
 
 TEST(HbRaceDetector, SecondAcquireOfAConsumedSyncVarAddsNoEdge)

@@ -213,12 +213,14 @@ TEST(Mmio, CoherentInterconnectInvalidatesInHardware)
 TEST(Mmio, NicStoreMarksOnlyTheMappingThatCachesTheLine)
 {
     // Two WT host mappings over disjoint lines of one NIC DRAM, like
-    // two queues: A caches line 0, B caches lines 2 and 4.
+    // two queues: A caches line 0, B caches lines 2 and 4. A third, C,
+    // caches lines 63 and 64, which straddle a line-table page.
     Simulator sim;
     PcieConfig cfg;
-    NicDram dram(sim, cfg, 4096);
+    NicDram dram(sim, cfg, 8192);
     HostMmioMapping a(dram, PteType::kWriteThrough);
     HostMmioMapping b(dram, PteType::kWriteThrough);
+    HostMmioMapping c(dram, PteType::kWriteThrough);
     NicLocalMapping nic(dram, PteType::kWriteBack);
     constexpr std::size_t kLine = PcieConfig::kLineSize;
 
@@ -252,6 +254,42 @@ TEST(Mmio, NicStoreMarksOnlyTheMappingThatCachesTheLine)
     }(a, b, nic));
     EXPECT_EQ(a.Stats().pcie_reads, 1u);
     EXPECT_EQ(b.Stats().pcie_reads, 2u);
+
+    RunSim(sim, [](HostMmioMapping& hc, NicLocalMapping& n) -> Task<> {
+        // One read spanning the end of line 63 and the start of line
+        // 64 caches both lines: re-reading each is a hit.
+        std::uint64_t pair[2] = {};
+        co_await hc.Read(64 * kLine - 8, pair, sizeof(pair));
+        EXPECT_EQ(hc.Stats().pcie_reads, 2u);
+        std::uint64_t out = 0;
+        co_await hc.Read(63 * kLine, &out, sizeof(out));
+        co_await hc.Read(64 * kLine, &out, sizeof(out));
+        EXPECT_EQ(hc.Stats().pcie_reads, 2u);
+        EXPECT_EQ(hc.Stats().cache_hits, 2u);
+
+        // A store to line 64 makes only that line stale.
+        const std::uint64_t value = 9;
+        co_await n.Write(64 * kLine, &value, sizeof(value));
+        co_await hc.Read(63 * kLine, &out, sizeof(out));
+        EXPECT_EQ(hc.Stats().stale_reads, 0u);
+        co_await hc.Read(64 * kLine, &out, sizeof(out));
+        EXPECT_EQ(hc.Stats().stale_reads, 1u);
+        EXPECT_EQ(out, 0u) << "C's cached copy predates the store";
+
+        // clflush empties C's cache; C then caches line 10 only. A
+        // store to the old line 64 marks nothing: C's next read of it
+        // is a miss that fetches the fresh value, and line 10 is clean.
+        co_await hc.Clflush(63 * kLine, 2 * kLine);
+        co_await hc.Read(10 * kLine, &out, sizeof(out));
+        const std::uint64_t reads_before = hc.Stats().pcie_reads;
+        const std::uint64_t later = 11;
+        co_await n.Write(64 * kLine, &later, sizeof(later));
+        co_await hc.Read(10 * kLine, &out, sizeof(out));
+        co_await hc.Read(64 * kLine, &out, sizeof(out));
+        EXPECT_EQ(out, later);
+        EXPECT_EQ(hc.Stats().pcie_reads, reads_before + 1);
+        EXPECT_EQ(hc.Stats().stale_reads, 1u);
+    }(c, nic));
 }
 
 TEST(Mmio, PrefetchHidesReadLatency)

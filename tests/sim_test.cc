@@ -10,6 +10,7 @@
 #include <numeric>
 #include <vector>
 
+#include "sim/line_table.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "sim/sync.h"
@@ -591,6 +592,60 @@ TEST(Zipf, ZeroThetaIsUniform)
     for (int c : counts) {
         EXPECT_NEAR(static_cast<double>(c) / samples, 0.1, 0.01);
     }
+}
+
+TEST(LineTable, UntouchedLineIsNull)
+{
+    LineTable<int> table;
+    EXPECT_EQ(table.Find(0), nullptr);
+    EXPECT_EQ(table.Find(12345), nullptr);
+    table.At(7) = 42;
+    ASSERT_NE(table.Find(7), nullptr);
+    EXPECT_EQ(*table.Find(7), 42);
+    // A line sharing the touched page reads as a default element.
+    ASSERT_NE(table.Find(8), nullptr);
+    EXPECT_EQ(*table.Find(8), 0);
+}
+
+TEST(LineTable, LinesOnEitherSideOfAPageBoundaryLiveOnSeparatePages)
+{
+    static_assert(LineTable<int>::kPageLines == 64);
+    LineTable<int> table;
+    table.At(63) = 1;
+    EXPECT_NE(table.Find(0), nullptr) << "line 0 shares line 63's page";
+    EXPECT_EQ(table.Find(64), nullptr) << "line 64 starts the next page";
+    table.At(64) = 2;
+    ASSERT_NE(table.Find(127), nullptr);
+    EXPECT_EQ(*table.Find(63), 1);
+    EXPECT_EQ(*table.Find(64), 2);
+    EXPECT_EQ(table.Find(128), nullptr);
+}
+
+TEST(LineTable, FarLineLeavesLowerPagesUnallocated)
+{
+    constexpr std::size_t kFar = std::size_t{1} << 20;
+    LineTable<int> table;
+    int& far = table.At(kFar);
+    far = 9;
+    EXPECT_EQ(table.Find(0), nullptr);
+    EXPECT_EQ(table.Find(kFar / 2), nullptr);
+    EXPECT_EQ(table.Find(kFar - 1), nullptr);
+    ASSERT_NE(table.Find(kFar + 63), nullptr);
+    // Touching a lower page does not move the far one.
+    table.At(0) = 1;
+    EXPECT_EQ(&table.At(kFar), &far);
+    EXPECT_EQ(far, 9);
+}
+
+TEST(LineTable, ClearDropsEverything)
+{
+    LineTable<int> table;
+    table.At(3) = 1;
+    table.At(700) = 2;
+    table.Clear();
+    EXPECT_EQ(table.Find(3), nullptr);
+    EXPECT_EQ(table.Find(700), nullptr);
+    EXPECT_EQ(table.At(3), 0) << "a re-touched line starts from default";
 }
 
 }  // namespace
