@@ -151,10 +151,12 @@ sim::Task<std::vector<Bytes>>
 DmaQueue::PollBatch(std::size_t max)
 {
     std::vector<Bytes> out;
-    out.reserve(max);
     while (out.size() < max) {
         Bytes payload;
         if (!co_await PollInto(payload)) break;
+        // Reserved on the first message, so an empty poll allocates
+        // nothing.
+        if (out.empty()) out.reserve(max);
         out.push_back(std::move(payload));
     }
     co_return out;

@@ -193,10 +193,12 @@ sim::Task<std::vector<Bytes>>
 NicConsumer::PollBatch(std::size_t max)
 {
     std::vector<Bytes> out;
-    out.reserve(max);
     while (out.size() < max) {
         Bytes payload;
         if (!co_await PollInto(payload)) break;
+        // Reserved on the first message, so an empty poll allocates
+        // nothing.
+        if (out.empty()) out.reserve(max);
         out.push_back(std::move(payload));
     }
     co_return out;
@@ -369,13 +371,12 @@ HostConsumer::PrefetchNext()
                            RingLayout::kFlagSize);
 }
 
-// wave-lifetime(caller-awaits)
 sim::Task<>
 HostConsumer::FlushNext()
 {
-    co_await read_map_.Clflush(queue_.PayloadAddr(tail_),
-                               queue_.Layout().Config().payload_size +
-                                   RingLayout::kFlagSize);
+    return read_map_.Clflush(queue_.PayloadAddr(tail_),
+                             queue_.Layout().Config().payload_size +
+                                 RingLayout::kFlagSize);
 }
 
 }  // namespace wave::channel

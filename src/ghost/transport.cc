@@ -168,11 +168,14 @@ WaveSchedTransport::HostPollDecision(int core, bool flush_first)
     co_return out;
 }
 
-// wave-lifetime(caller-awaits)
+// The pure forwarding calls (HostPrefetchDecision, AgentCommit,
+// AgentPollOutcomes, AgentKick) return the endpoint's task instead of
+// awaiting it in a frame of their own. Callers await the result at
+// once, so For()'s check still runs before the endpoint does.
 sim::Task<>
 WaveSchedTransport::HostPrefetchDecision(int core)
 {
-    co_await For(core).host_txn->PrefetchTxns();
+    return For(core).host_txn->PrefetchTxns();
 }
 
 // wave-lifetime(caller-awaits)
@@ -200,11 +203,14 @@ WaveSchedTransport::InterruptReceiveCost() const
 sim::Task<std::vector<GhostMessage>>
 WaveSchedTransport::AgentPollMessages(std::size_t max)
 {
-    auto raw = co_await messages_.nic->PollBatch(max);
     std::vector<GhostMessage> out;
-    out.reserve(raw.size());
-    for (const auto& bytes : raw) {
-        out.push_back(DecodeMessage(bytes));
+    while (out.size() < max) {
+        // Each message is decoded before the next poll reuses the buffer.
+        if (!co_await messages_.nic->PollInto(message_buf_)) break;
+        // Reserved on the first message, so an empty poll allocates
+        // nothing.
+        if (out.empty()) out.reserve(max);
+        out.push_back(DecodeMessage(message_buf_));
     }
     co_return out;
 }
@@ -216,25 +222,22 @@ WaveSchedTransport::AgentStageDecision(const GhostDecision& d)
         channel::ToBytes(d, GhostWire::kDecisionPayload));
 }
 
-// wave-lifetime(caller-awaits)
 sim::Task<std::size_t>
 WaveSchedTransport::AgentCommit(int core, bool kick)
 {
-    co_return co_await For(core).nic_txn->TxnsCommit(kick);
+    return For(core).nic_txn->TxnsCommit(kick);
 }
 
-// wave-lifetime(caller-awaits)
 sim::Task<std::vector<api::TxnOutcome>>
 WaveSchedTransport::AgentPollOutcomes(int core, std::size_t max)
 {
-    co_return co_await For(core).nic_txn->PollTxnsOutcomes(max);
+    return For(core).nic_txn->PollTxnsOutcomes(max);
 }
 
-// wave-lifetime(caller-awaits)
 sim::Task<>
 WaveSchedTransport::AgentKick(int core)
 {
-    co_await For(core).msix->Send();
+    return For(core).msix->Send();
 }
 
 // --- ShmSchedTransport ---

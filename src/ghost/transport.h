@@ -140,6 +140,8 @@ class WaveSchedTransport : public SchedTransport {
 
     WaveRuntime& runtime_;
     HostToNicChannel messages_;
+    /** Reused payload buffer for AgentPollMessages (the one agent). */
+    api::Bytes message_buf_;
     /**
      * The message queue has one logical producer but many host-side
      * processes (core loops, wake paths) send through it; this lock

@@ -499,35 +499,38 @@ NicLocalMapping::AccessCost(std::size_t n) const
     return per_word * words;
 }
 
-// wave-lifetime(caller-awaits)
-sim::Task<>
-NicLocalMapping::Read(std::size_t offset, void* dst, std::size_t n,
-                      bool tolerate_stale)
+void
+NicLocalMapping::Access::await_suspend(std::coroutine_handle<> h) const
 {
-    co_await dram_.Sim().Delay(AccessCost(n));
-    dram_.Backing().ReadRaw(offset, dst, n);
+    map_.dram_.Sim().Schedule(map_.AccessCost(n_), [h] { h.resume(); });
+}
+
+void
+NicLocalMapping::ReadAccess::await_resume() const
+{
+    NicDram& dram = map_.dram_;
+    dram.Backing().ReadRaw(offset_, dst_, n_);
     WAVE_CHECK_HOOK({
-        if (auto* checker = dram_.Checker()) {
-            checker->OnRead(&dram_.Backing(), check::Domain::kNic, offset,
-                            n, /*from_host_cache=*/false, tolerate_stale,
+        if (auto* checker = dram.Checker()) {
+            checker->OnRead(&dram.Backing(), check::Domain::kNic, offset_,
+                            n_, /*from_host_cache=*/false, tolerate_stale_,
                             "NicLocalMapping::Read");
         }
     });
 }
 
-// wave-lifetime(caller-awaits)
-sim::Task<>
-NicLocalMapping::Write(std::size_t offset, const void* src, std::size_t n)
+void
+NicLocalMapping::WriteAccess::await_resume() const
 {
-    co_await dram_.Sim().Delay(AccessCost(n));
-    dram_.Backing().WriteRaw(offset, src, n);
+    NicDram& dram = map_.dram_;
+    dram.Backing().WriteRaw(offset_, src_, n_);
     WAVE_CHECK_HOOK({
-        if (auto* checker = dram_.Checker()) {
-            checker->OnWrite(&dram_.Backing(), check::Domain::kNic,
-                             offset, n, "NicLocalMapping::Write");
+        if (auto* checker = dram.Checker()) {
+            checker->OnWrite(&dram.Backing(), check::Domain::kNic,
+                             offset_, n_, "NicLocalMapping::Write");
         }
     });
-    dram_.OnNicWrite(offset, n);
+    dram.OnNicWrite(offset_, n_);
 }
 
 }  // namespace wave::pcie

@@ -33,6 +33,7 @@
 #pragma once
 
 #include <array>
+#include <coroutine>
 #include <cstdint>
 #include <vector>
 
@@ -274,10 +275,74 @@ class HostMmioMapping {
     std::vector<std::vector<std::byte>> posted_pool_;
 };
 
-/** A SmartNIC core's view of the NIC DRAM (its own local memory). */
+/**
+ * A SmartNIC core's view of the NIC DRAM (its own local memory).
+ *
+ * A local access is one delay followed by the data movement, so Read()
+ * and Write() return awaiters rather than coroutines: awaiting one
+ * schedules the resume AccessCost(n) later and moves the bytes (and
+ * reports to the coherence checker) in await_resume, without a
+ * coroutine frame of its own.
+ *
+ * Lifetime: the awaiter borrows the mapping and @p dst / @p src, which
+ * must outlive the co_await. This is the contract of a caller-awaits
+ * coroutine (docs/static-analysis.md, W200 series): await the returned
+ * object in the same full expression that makes it.
+ */
 class NicLocalMapping {
   public:
     NicLocalMapping(NicDram& dram, PteType type);
+
+    /** The delay both access awaiters share: AccessCost(n) per access. */
+    class Access {
+      public:
+        bool await_ready() const noexcept { return false; }
+        void await_suspend(std::coroutine_handle<> h) const;
+
+      protected:
+        Access(NicLocalMapping& map, std::size_t offset, std::size_t n)
+            : map_(map), offset_(offset), n_(n)
+        {
+        }
+
+        NicLocalMapping& map_;
+        std::size_t offset_;
+        std::size_t n_;
+    };
+
+    /** Awaiter for Read(): delay, then copy out and report the read. */
+    class [[nodiscard]] ReadAccess : public Access {
+      public:
+        void await_resume() const;
+
+      private:
+        friend class NicLocalMapping;
+        ReadAccess(NicLocalMapping& map, std::size_t offset, void* dst,
+                   std::size_t n, bool tolerate_stale)
+            : Access(map, offset, n), dst_(dst),
+              tolerate_stale_(tolerate_stale)
+        {
+        }
+
+        void* dst_;
+        bool tolerate_stale_;
+    };
+
+    /** Awaiter for Write(): delay, then store and report the write. */
+    class [[nodiscard]] WriteAccess : public Access {
+      public:
+        void await_resume() const;
+
+      private:
+        friend class NicLocalMapping;
+        WriteAccess(NicLocalMapping& map, std::size_t offset,
+                    const void* src, std::size_t n)
+            : Access(map, offset, n), src_(src)
+        {
+        }
+
+        const void* src_;
+    };
 
     /**
      * Local read; cost depends on UC vs WB mapping.
@@ -287,11 +352,19 @@ class NicLocalMapping {
      *        generation flag simply won't match yet); the coherence
      *        checker skips the unflushed-WC check on such reads.
      */
-    sim::Task<> Read(std::size_t offset, void* dst, std::size_t n,
-                     bool tolerate_stale = false);
+    ReadAccess
+    Read(std::size_t offset, void* dst, std::size_t n,
+         bool tolerate_stale = false)
+    {
+        return ReadAccess(*this, offset, dst, n, tolerate_stale);
+    }
 
     /** Local write; visible to the host's next PCIe fetch immediately. */
-    sim::Task<> Write(std::size_t offset, const void* src, std::size_t n);
+    WriteAccess
+    Write(std::size_t offset, const void* src, std::size_t n)
+    {
+        return WriteAccess(*this, offset, src, n);
+    }
 
     PteType Type() const { return type_; }
 

@@ -119,12 +119,13 @@ NicTxnEndpoint::PollTxnsOutcomes(std::size_t max)
 {
     std::vector<api::TxnOutcome> out;
     while (out.size() < max) {
-        auto record = co_await outcomes_.Poll();
-        if (!record) break;
+        // Each record is decoded before the next poll reuses the buffer.
+        if (!co_await outcomes_.PollInto(outcome_buf_)) break;
         api::TxnOutcome outcome;
-        std::memcpy(&outcome.txn_id, record->data(),
+        std::memcpy(&outcome.txn_id, outcome_buf_.data(),
                     sizeof(outcome.txn_id));
-        std::memcpy(&outcome.status, record->data() + sizeof(api::TxnId),
+        std::memcpy(&outcome.status,
+                    outcome_buf_.data() + sizeof(api::TxnId),
                     sizeof(outcome.status));
         WAVE_CHECK_HOOK({
             if (protocol_ != nullptr) {
@@ -134,6 +135,9 @@ NicTxnEndpoint::PollTxnsOutcomes(std::size_t max)
                     "NicTxnEndpoint::PollTxnsOutcomes");
             }
         });
+        // Reserved on the first outcome, so an empty poll allocates
+        // nothing.
+        if (out.empty()) out.reserve(max);
         out.push_back(outcome);
     }
     co_return out;
@@ -150,11 +154,13 @@ HostTxnEndpoint::HostTxnEndpoint(channel::HostConsumer& decisions,
 sim::Task<std::optional<HostTxn>>
 HostTxnEndpoint::PollTxns(bool flush_first)
 {
-    auto slot = co_await decisions_.Poll(flush_first);
-    if (!slot) co_return std::nullopt;
+    if (!co_await decisions_.PollInto(slot_buf_, flush_first)) {
+        co_return std::nullopt;
+    }
     HostTxn txn;
-    std::memcpy(&txn.id, slot->data(), sizeof(txn.id));
-    txn.payload.assign(slot->begin() + TxnWire::kHeaderSize, slot->end());
+    std::memcpy(&txn.id, slot_buf_.data(), sizeof(txn.id));
+    txn.payload.assign(slot_buf_.begin() + TxnWire::kHeaderSize,
+                       slot_buf_.end());
     WAVE_CHECK_HOOK({
         if (protocol_ != nullptr) {
             protocol_->OnTxnDelivered(&decisions_.Queue(), txn.id,
@@ -165,18 +171,10 @@ HostTxnEndpoint::PollTxns(bool flush_first)
     co_return txn;
 }
 
-// wave-lifetime(caller-awaits)
 sim::Task<>
 HostTxnEndpoint::PrefetchTxns()
 {
-    co_await decisions_.PrefetchNext();
-}
-
-// wave-lifetime(caller-awaits)
-sim::Task<>
-HostTxnEndpoint::FlushTxns()
-{
-    co_await decisions_.FlushNext();
+    return decisions_.PrefetchNext();
 }
 
 // wave-lifetime(caller-awaits)

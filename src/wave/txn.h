@@ -112,6 +112,8 @@ class NicTxnEndpoint {
     api::TxnId next_id_ = 1;
     std::vector<api::Bytes> staged_;  ///< already framed with txn ids
     std::vector<api::TxnId> staged_ids_;  ///< parallel to staged_
+    /** Reused record buffer for PollTxnsOutcomes (one poller). */
+    api::Bytes outcome_buf_;
     check::ProtocolChecker* protocol_ = nullptr;
     sim::inject::FaultInjector* injector_ = nullptr;
 };
@@ -135,9 +137,6 @@ class HostTxnEndpoint {
     /** Prefetches the next decision slot (PREFETCH_TXNS, §5.4). */
     sim::Task<> PrefetchTxns();
 
-    /** Flushes the next decision slot (software coherence on MSI-X). */
-    sim::Task<> FlushTxns();
-
     /** Reports commit outcomes back to the agent. */
     sim::Task<> SetTxnsOutcomes(const std::vector<api::TxnOutcome>& outs);
 
@@ -157,6 +156,8 @@ class HostTxnEndpoint {
     channel::HostConsumer& decisions_;
     channel::HostProducer& outcomes_;
     pcie::MsiXVector* msix_;
+    /** Reused slot buffer for PollTxns (one poller per endpoint). */
+    api::Bytes slot_buf_;
     check::ProtocolChecker* protocol_ = nullptr;
 };
 

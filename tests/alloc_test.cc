@@ -22,17 +22,22 @@
 #include <vector>
 
 #include "channel/dma_queue.h"
+#include "channel/mmio_queue.h"
 #include "check/coherence.h"
+#include "ghost/transport.h"
 #include "machine/cpu.h"
+#include "machine/machine.h"
 #include "offload/kernels.h"
 #include "offload/packet.h"
 #include "offload/pipeline.h"
 #include "offload/stage.h"
 #include "pcie/mmio.h"
 #include "sim/alloc_guard.h"
+#include "sim/frame_pool.h"
 #include "sim/simulator.h"
 #include "sim/sync.h"
 #include "stats/histogram.h"
+#include "wave/runtime.h"
 
 namespace wave {
 namespace {
@@ -50,6 +55,17 @@ Msg(std::uint64_t v)
     Bytes b(48);
     std::memcpy(b.data(), &v, sizeof(v));
     return b;
+}
+
+/**
+ * Spawns @p body and runs the simulator until it is idle, so every
+ * referent the body borrows from the caller's frame outlives it.
+ */
+void
+RunToCompletion(Simulator& sim, Task<> body)
+{
+    sim.Spawn(std::move(body));
+    sim.Run();
 }
 
 // The zero-allocation assertions below are vacuous if the counting
@@ -221,6 +237,107 @@ TEST(AllocGuard, DmaQueueSendPollLoopIsAllocationFreeInSteadyState)
     EXPECT_EQ(polled,
               static_cast<std::uint64_t>(kWarmupRounds + kMeasuredRounds) *
                   8);
+}
+
+TEST(AllocGuard, EmptyPollBatchAllocatesNothing)
+{
+    // Batch polls of an empty queue are the common case for a busy-
+    // polling agent; the result vector is reserved only once a message
+    // has arrived, so an empty poll must not touch the heap.
+    constexpr int kPolls = 16;
+    const QueueConfig qc{.capacity = 16, .payload_size = 48,
+                         .sync_interval = 4};
+
+    Simulator sim;
+    pcie::PcieConfig config;
+    pcie::NicDram dram(sim, config, 4096);
+    channel::MmioQueue ring(dram, 0, qc);
+    channel::NicConsumer mmio(ring, pcie::PteType::kWriteBack);
+    pcie::DmaEngine dma(sim, config);
+    channel::DmaQueue dmaq(sim, dma, pcie::DmaInitiator::kNic, qc);
+
+    std::uint64_t mmio_allocs = ~0ull;
+    std::uint64_t dma_allocs = ~0ull;
+    std::size_t polled = 0;
+    RunToCompletion(sim, [](channel::NicConsumer& c, channel::DmaQueue& q,
+                            std::uint64_t& ma, std::uint64_t& da,
+                            std::size_t& got) -> Task<> {
+        // Warmup: the poll frames' size classes reach the pool.
+        got += (co_await c.PollBatch(8)).size();
+        got += (co_await q.PollBatch(8)).size();
+        std::uint64_t start = sim::AllocSnapshot().allocations;
+        for (int i = 0; i < kPolls; ++i) {
+            got += (co_await c.PollBatch(8)).size();
+        }
+        ma = sim::AllocSnapshot().allocations - start;
+        start = sim::AllocSnapshot().allocations;
+        for (int i = 0; i < kPolls; ++i) {
+            got += (co_await q.PollBatch(8)).size();
+        }
+        da = sim::AllocSnapshot().allocations - start;
+    }(mmio, dmaq, mmio_allocs, dma_allocs, polled));
+
+    EXPECT_EQ(polled, 0u);
+    EXPECT_EQ(mmio_allocs, 0u) << "empty NicConsumer::PollBatch allocated";
+    EXPECT_EQ(dma_allocs, 0u) << "empty DmaQueue::PollBatch allocated";
+}
+
+TEST(AllocGuard, WaveAgentEmptyPollsUseTwoFramesAndNoHeap)
+{
+    // The offloaded agent sweeps every core's outcome queue and the
+    // message queue on each loop iteration, and most of those polls
+    // come back empty. The transport and txn layers forward without a
+    // frame of their own and the NIC-local read is an awaiter, so an
+    // empty poll costs the endpoint's frame plus PollInto's, and the
+    // heap is never touched. Checkers stay attached (WaveRuntime's
+    // default), as in every Wave deployment. A frame the pool cannot
+    // reuse comes from operator new, so with no allocations the pool's
+    // reuse count is every frame built.
+    constexpr int kWarmup = 4;
+    constexpr int kMeasured = 64;
+
+    Simulator sim;
+    machine::Machine machine(sim);
+    WaveRuntime runtime(sim, machine, pcie::PcieConfig{},
+                        api::OptimizationConfig::Full());
+    ghost::WaveSchedTransport transport(runtime, 2);
+
+    struct Measured {
+        std::uint64_t outcome_frames = ~0ull;
+        std::uint64_t outcome_allocs = ~0ull;
+        std::uint64_t message_frames = ~0ull;
+        std::uint64_t message_allocs = ~0ull;
+        std::size_t polled = 0;
+    } m;
+    RunToCompletion(sim, [](ghost::WaveSchedTransport& t,
+                            Measured& out) -> Task<> {
+        for (int i = 0; i < kWarmup; ++i) {
+            out.polled += (co_await t.AgentPollOutcomes(1, 8)).size();
+            out.polled += (co_await t.AgentPollMessages(8)).size();
+        }
+        std::uint64_t allocs = sim::AllocSnapshot().allocations;
+        std::uint64_t frames = sim::detail::FramePoolReuses();
+        for (int i = 0; i < kMeasured; ++i) {
+            out.polled += (co_await t.AgentPollOutcomes(1, 8)).size();
+        }
+        out.outcome_frames = sim::detail::FramePoolReuses() - frames;
+        out.outcome_allocs = sim::AllocSnapshot().allocations - allocs;
+        allocs = sim::AllocSnapshot().allocations;
+        frames = sim::detail::FramePoolReuses();
+        for (int i = 0; i < kMeasured; ++i) {
+            out.polled += (co_await t.AgentPollMessages(8)).size();
+        }
+        out.message_frames = sim::detail::FramePoolReuses() - frames;
+        out.message_allocs = sim::AllocSnapshot().allocations - allocs;
+    }(transport, m));
+
+    EXPECT_EQ(m.polled, 0u);
+    EXPECT_LE(m.outcome_frames, 2u * kMeasured)
+        << "an empty AgentPollOutcomes should build at most two frames";
+    EXPECT_EQ(m.outcome_allocs, 0u);
+    EXPECT_LE(m.message_frames, 2u * kMeasured)
+        << "an empty AgentPollMessages should build at most two frames";
+    EXPECT_EQ(m.message_allocs, 0u);
 }
 
 TEST(AllocGuard, WtRefillAfterClflushIsAllocationFreeInSteadyState)

@@ -8,6 +8,7 @@
 
 #include <cstring>
 
+#include "check/coherence.h"
 #include "pcie/config.h"
 #include "pcie/dma.h"
 #include "pcie/mmio.h"
@@ -717,6 +718,130 @@ TEST(Mmio, ClflushOnUncachedLineIsFree)
     }(sim, map));
     EXPECT_EQ(map.Stats().clflushes, 0u);
 }
+
+TEST(Mmio, NicLocalAccessResumesAfterExactlyTheAccessCost)
+{
+    // A NIC-local access is one delay of per-word cost; sizes round up
+    // to whole words, and reads cost the same as writes.
+    Simulator sim;
+    PcieConfig cfg;
+    NicDram dram(sim, cfg, 4096);
+    NicLocalMapping uc(dram, PteType::kUncacheable);
+    NicLocalMapping wb(dram, PteType::kWriteBack);
+
+    RunSim(sim, [](Simulator& s, NicLocalMapping& u, NicLocalMapping& w,
+                   const PcieConfig& c) -> Task<> {
+        std::byte buf[64] = {};
+        for (const std::size_t n : {std::size_t{8}, std::size_t{12},
+                                    std::size_t{64}}) {
+            const std::int64_t words = static_cast<std::int64_t>(
+                (n + PcieConfig::kWordSize - 1) / PcieConfig::kWordSize);
+            TimeNs t0 = s.Now();
+            co_await u.Read(0, buf, n);
+            EXPECT_EQ(s.Now() - t0, words * c.nic_uncached_access_ns);
+            t0 = s.Now();
+            co_await u.Write(0, buf, n);
+            EXPECT_EQ(s.Now() - t0, words * c.nic_uncached_access_ns);
+            t0 = s.Now();
+            co_await w.Read(64, buf, n, /*tolerate_stale=*/true);
+            EXPECT_EQ(s.Now() - t0, words * c.nic_wb_access_ns);
+            t0 = s.Now();
+            co_await w.Write(64, buf, n);
+            EXPECT_EQ(s.Now() - t0, words * c.nic_wb_access_ns);
+        }
+    }(sim, uc, wb, cfg));
+}
+
+TEST(Mmio, NicLocalWriteLandsOnlyWhenItsDelayEnds)
+{
+    // The store, its checker report and the NIC-write callback (here:
+    // a coherent interconnect invalidating the host's cached copy) all
+    // happen when the access resumes, not when it is issued.
+    Simulator sim;
+    const PcieConfig cfg = PcieConfig::Upi();
+    NicDram dram(sim, cfg, 4096);
+    check::CoherenceChecker checker(sim);
+    dram.AttachChecker(&checker);
+    HostMmioMapping host(dram, PteType::kWriteBack);
+    NicLocalMapping nic(dram, PteType::kWriteBack);
+
+    RunSim(sim, [](Simulator& s, HostMmioMapping& h, NicLocalMapping& n,
+                   NicDram& d, check::CoherenceChecker& ch,
+                   const PcieConfig& c) -> Task<> {
+        std::uint64_t seen = 0;
+        co_await h.Read(0, &seen, sizeof(seen));  // host caches line 0
+        const check::CheckerStats before = ch.Stats();
+        const std::uint64_t value = 7;
+        const TimeNs t0 = s.Now();
+        bool probed = false;
+        s.Schedule(c.nic_wb_access_ns - 1, [&] {
+            probed = true;
+            EXPECT_EQ(ReadU64(d.Backing(), 0), 0u);
+#ifdef WAVE_CHECK_ENABLED
+            EXPECT_EQ(ch.Stats().writes, before.writes);
+            EXPECT_EQ(ch.Stats().cache_drops, before.cache_drops);
+#endif
+        });
+        co_await n.Write(0, &value, sizeof(value));
+        EXPECT_TRUE(probed);
+        EXPECT_EQ(s.Now() - t0, c.nic_wb_access_ns);
+        EXPECT_EQ(ReadU64(d.Backing(), 0), 7u);
+#ifdef WAVE_CHECK_ENABLED
+        EXPECT_EQ(ch.Stats().writes, before.writes + 1);
+        EXPECT_EQ(ch.Stats().cache_drops, before.cache_drops + 1);
+#endif
+        co_await h.Read(0, &seen, sizeof(seen));
+        EXPECT_EQ(seen, 7u);
+    }(sim, host, nic, dram, checker, cfg));
+    EXPECT_EQ(host.Stats().pcie_reads, 2u) << "the NIC store invalidated";
+}
+
+#ifdef WAVE_CHECK_ENABLED
+TEST(Mmio, NicLocalAccessReportsToTheCoherenceChecker)
+{
+    // Reads pass tolerate_stale through: an optimistic poll of a line
+    // with undrained host WC stores is not a violation, a strict read
+    // is. Writes are reported as NIC-domain stores, so a host cache hit
+    // on the written line afterwards is a stale read.
+    Simulator sim;
+    PcieConfig cfg;
+    NicDram dram(sim, cfg, 4096);
+    check::CoherenceChecker checker(sim);
+    dram.AttachChecker(&checker);
+    HostMmioMapping wc(dram, PteType::kWriteCombining);
+    HostMmioMapping wt(dram, PteType::kWriteThrough);
+    NicLocalMapping nic(dram, PteType::kWriteBack);
+
+    RunSim(sim, [](HostMmioMapping& w, HostMmioMapping& t,
+                   NicLocalMapping& n,
+                   check::CoherenceChecker& ch) -> Task<> {
+        const std::uint64_t value = 5;
+        std::uint64_t seen = 0;
+        co_await w.Write(0, &value, sizeof(value));  // parked, no sfence
+        co_await n.Read(0, &seen, sizeof(seen), /*tolerate_stale=*/true);
+        EXPECT_TRUE(ch.Violations().empty());
+        co_await n.Read(0, &seen, sizeof(seen));
+        EXPECT_EQ(ch.Violations().size(), 1u);
+        if (ch.Violations().size() != 1u) co_return;
+        EXPECT_EQ(ch.Violations()[0].kind,
+                  check::ViolationKind::kUnflushedWcRead);
+        EXPECT_STREQ(ch.Violations()[0].read.label,
+                     "NicLocalMapping::Read");
+        EXPECT_EQ(ch.Stats().reads, 2u);
+
+        constexpr std::size_t kLine2 = 2 * PcieConfig::kLineSize;
+        co_await t.Read(kLine2, &seen, sizeof(seen));  // cache line 2
+        co_await n.Write(kLine2, &value, sizeof(value));
+        co_await t.Read(kLine2, &seen, sizeof(seen));  // stale hit
+        EXPECT_EQ(ch.Violations().size(), 2u);
+        if (ch.Violations().size() != 2u) co_return;
+        EXPECT_EQ(ch.Violations()[1].kind,
+                  check::ViolationKind::kStaleCachedRead);
+        EXPECT_STREQ(ch.Violations()[1].write.label,
+                     "NicLocalMapping::Write");
+    }(wc, wt, nic, checker));
+}
+#endif
 
 }  // namespace
 }  // namespace wave::pcie
