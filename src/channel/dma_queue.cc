@@ -5,7 +5,6 @@
 
 #include <cstring>
 
-#include "check/hooks.h"
 #include "check/protocol.h"
 
 namespace wave::channel {
@@ -93,12 +92,10 @@ DmaQueue::Send(const std::vector<Bytes>& messages, bool sync)
                                 sizeof(gen));
         co_await LocalAccess(sim_, producer_local_ns_,
                              layout_.SlotSize());
-        WAVE_CHECK_HOOK({
-            if (protocol_ != nullptr) {
-                protocol_->OnStreamSend(this, head_, check::Domain::kDma,
-                                        "DmaQueue::Send");
-            }
-        });
+        if (protocol_ != nullptr) {
+            protocol_->OnStreamSend(this, head_, check::Domain::kDma,
+                                    "DmaQueue::Send");
+        }
         ++head_;
         ++sent;
     }
@@ -122,12 +119,10 @@ DmaQueue::PollInto(Bytes& out)
     consumer_ring_.ReadRaw(layout_.PayloadOffset(tail_), out.data(),
                            out.size());
     co_await LocalAccess(sim_, consumer_local_ns_, out.size());
-    WAVE_CHECK_HOOK({
-        if (protocol_ != nullptr) {
-            protocol_->OnStreamRecv(this, tail_, check::Domain::kDma,
-                                    "DmaQueue::Poll");
-        }
-    });
+    if (protocol_ != nullptr) {
+        protocol_->OnStreamRecv(this, tail_, check::Domain::kDma,
+                                "DmaQueue::Poll");
+    }
     ++tail_;
     co_await MaybeSyncCounter();
     co_return true;

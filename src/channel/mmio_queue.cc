@@ -6,7 +6,6 @@
 #include <cstring>
 
 #include "check/hb.h"
-#include "check/hooks.h"
 #include "check/protocol.h"
 
 namespace wave::channel {
@@ -54,11 +53,9 @@ HostProducer::RefreshConsumed()
     cached_consumed_ = counter;
     // Observing the consumer's counter is the acquire half of the lap
     // handshake: it is what licenses overwriting consumed slots.
-    WAVE_CHECK_HOOK({
-        if (hb_ != nullptr) {
-            hb_->OnAcquire(actor_, &queue_, kCounterSyncTag);
-        }
-    });
+    if (hb_ != nullptr) {
+        hb_->OnAcquire(actor_, &queue_, kCounterSyncTag);
+    }
 }
 
 // wave-lifetime(caller-awaits)
@@ -90,18 +87,16 @@ HostProducer::Send(const std::vector<Bytes>& messages)
         // release half of the publication handshake (the flag bytes
         // themselves are never treated as data). The access must be
         // recorded before the release advances this actor's clock.
-        WAVE_CHECK_HOOK({
-            if (hb_ != nullptr) {
-                hb_->OnAccess(actor_, &queue_, queue_.PayloadAddr(head_),
-                              message.size(), /*is_write=*/true,
-                              "HostProducer::Send[payload]");
-                hb_->OnRelease(actor_, &queue_, head_);
-            }
-            if (protocol_ != nullptr) {
-                protocol_->OnStreamSend(&queue_, head_, check::Domain::kHost,
-                                        "HostProducer::Send");
-            }
-        });
+        if (hb_ != nullptr) {
+            hb_->OnAccess(actor_, &queue_, queue_.PayloadAddr(head_),
+                          message.size(), /*is_write=*/true,
+                          "HostProducer::Send[payload]");
+            hb_->OnRelease(actor_, &queue_, head_);
+        }
+        if (protocol_ != nullptr) {
+            protocol_->OnStreamSend(&queue_, head_, check::Domain::kHost,
+                                    "HostProducer::Send");
+        }
         ++head_;
         ++sent;
     }
@@ -126,11 +121,9 @@ NicConsumer::MaybeSyncCounter()
         co_await map_.Write(queue_.CounterAddr(), &tail_, sizeof(tail_));
         // Publishing the counter releases every slot read so far: the
         // producer may overwrite them only after acquiring this value.
-        WAVE_CHECK_HOOK({
-            if (hb_ != nullptr) {
-                hb_->OnRelease(actor_, &queue_, kCounterSyncTag);
-            }
-        });
+        if (hb_ != nullptr) {
+            hb_->OnRelease(actor_, &queue_, kCounterSyncTag);
+        }
         last_synced_ = tail_;
     }
 }
@@ -158,18 +151,16 @@ NicConsumer::PollInto(Bytes& out)
     // The matching flag poll is the acquire half of the publication
     // handshake; it must precede the payload-read race check. Each slot
     // is consumed once, so the acquire retires the slot's sync var.
-    WAVE_CHECK_HOOK({
-        if (hb_ != nullptr) {
-            hb_->OnConsume(actor_, &queue_, tail_);
-            hb_->OnAccess(actor_, &queue_, queue_.PayloadAddr(tail_),
-                          out.size(), /*is_write=*/false,
-                          "NicConsumer::Poll[payload]");
-        }
-        if (protocol_ != nullptr) {
-            protocol_->OnStreamRecv(&queue_, tail_, check::Domain::kNic,
-                                    "NicConsumer::Poll");
-        }
-    });
+    if (hb_ != nullptr) {
+        hb_->OnConsume(actor_, &queue_, tail_);
+        hb_->OnAccess(actor_, &queue_, queue_.PayloadAddr(tail_),
+                      out.size(), /*is_write=*/false,
+                      "NicConsumer::Poll[payload]");
+    }
+    if (protocol_ != nullptr) {
+        protocol_->OnStreamRecv(&queue_, tail_, check::Domain::kNic,
+                                "NicConsumer::Poll");
+    }
     ++tail_;
     co_await MaybeSyncCounter();
     co_return true;
@@ -228,11 +219,9 @@ NicProducer::Full()
     // Acquire the consumer's release; a stale value joins an *older*
     // release state, which only adds edges the producer then does not
     // rely on (it refuses to overwrite), so this stays sound.
-    WAVE_CHECK_HOOK({
-        if (hb_ != nullptr) {
-            hb_->OnAcquire(actor_, &queue_, kCounterSyncTag);
-        }
-    });
+    if (hb_ != nullptr) {
+        hb_->OnAcquire(actor_, &queue_, kCounterSyncTag);
+    }
     co_return head_ - cached_consumed_ >= capacity;
 }
 
@@ -249,18 +238,16 @@ NicProducer::Send(const Bytes& message)
                         message.size());
     const std::uint64_t gen = layout.GenerationOf(head_);
     co_await map_.Write(queue_.FlagAddr(head_), &gen, sizeof(gen));
-    WAVE_CHECK_HOOK({
-        if (hb_ != nullptr) {
-            hb_->OnAccess(actor_, &queue_, queue_.PayloadAddr(head_),
-                          message.size(), /*is_write=*/true,
-                          "NicProducer::Send[payload]");
-            hb_->OnRelease(actor_, &queue_, head_);
-        }
-        if (protocol_ != nullptr) {
-            protocol_->OnStreamSend(&queue_, head_, check::Domain::kNic,
-                                    "NicProducer::Send");
-        }
-    });
+    if (hb_ != nullptr) {
+        hb_->OnAccess(actor_, &queue_, queue_.PayloadAddr(head_),
+                      message.size(), /*is_write=*/true,
+                      "NicProducer::Send[payload]");
+        hb_->OnRelease(actor_, &queue_, head_);
+    }
+    if (protocol_ != nullptr) {
+        protocol_->OnStreamSend(&queue_, head_, check::Domain::kNic,
+                                "NicProducer::Send");
+    }
     ++head_;
     co_return true;
 }
@@ -295,11 +282,9 @@ HostConsumer::MaybeSyncCounter()
         co_await counter_map_.Write(queue_.CounterAddr(), &tail_,
                                     sizeof(tail_));
         co_await counter_map_.Sfence();
-        WAVE_CHECK_HOOK({
-            if (hb_ != nullptr) {
-                hb_->OnRelease(actor_, &queue_, kCounterSyncTag);
-            }
-        });
+        if (hb_ != nullptr) {
+            hb_->OnRelease(actor_, &queue_, kCounterSyncTag);
+        }
         last_synced_ = tail_;
     }
 }
@@ -329,18 +314,16 @@ HostConsumer::PollInto(Bytes& out, bool flush_first)
     if (flag != layout.GenerationOf(tail_)) {
         co_return false;
     }
-    WAVE_CHECK_HOOK({
-        if (hb_ != nullptr) {
-            hb_->OnConsume(actor_, &queue_, tail_);
-            hb_->OnAccess(actor_, &queue_, queue_.PayloadAddr(tail_),
-                          layout.Config().payload_size,
-                          /*is_write=*/false, "HostConsumer::Poll[payload]");
-        }
-        if (protocol_ != nullptr) {
-            protocol_->OnStreamRecv(&queue_, tail_, check::Domain::kHost,
-                                    "HostConsumer::Poll");
-        }
-    });
+    if (hb_ != nullptr) {
+        hb_->OnConsume(actor_, &queue_, tail_);
+        hb_->OnAccess(actor_, &queue_, queue_.PayloadAddr(tail_),
+                      layout.Config().payload_size,
+                      /*is_write=*/false, "HostConsumer::Poll[payload]");
+    }
+    if (protocol_ != nullptr) {
+        protocol_->OnStreamRecv(&queue_, tail_, check::Domain::kHost,
+                                "HostConsumer::Poll");
+    }
     out.resize(layout.Config().payload_size);
     ++tail_;
     co_await MaybeSyncCounter();

@@ -30,9 +30,12 @@
  * their reads as stale-tolerant, exactly like TSan benign-race
  * annotations; everything else is checked strictly.
  *
- * The checker is attached at runtime (WaveRuntime does it automatically
- * when built with WAVE_CHECK_ENABLED) and all instrumentation compiles
- * away when the WAVE_CHECK CMake option is OFF.
+ * The checker is attached at runtime: WaveRuntime builds and attaches
+ * one for every runtime, and each instrumentation hook tests for a null
+ * checker, so components built without a runtime run unchecked. The
+ * checker holds the simulator by const reference: it reads the virtual
+ * clock and can never schedule, spawn or stop anything, and no model
+ * code reads a hook's return value.
  */
 // wave-domain: neutral
 #pragma once
@@ -118,7 +121,7 @@ class CoherenceChecker {
   public:
     static constexpr std::size_t kLineSize = 64;
 
-    explicit CoherenceChecker(sim::Simulator& sim) : sim_(sim) {}
+    explicit CoherenceChecker(const sim::Simulator& sim) : sim_(sim) {}
 
     CoherenceChecker(const CoherenceChecker&) = delete;
     CoherenceChecker& operator=(const CoherenceChecker&) = delete;
@@ -203,7 +206,7 @@ class CoherenceChecker {
     void Report(ViolationKind kind, std::size_t line,
                 const AccessSite& read, const AccessSite& write);
 
-    sim::Simulator& sim_;
+    const sim::Simulator& sim_;
     RegionLines<LineState> lines_;  ///< shadow lines, paged per region
     std::vector<Violation> violations_;
     std::unordered_set<std::uint64_t> reported_;  ///< dedup keys

@@ -105,7 +105,7 @@ class HbRaceDetector {
   public:
     static constexpr std::size_t kLineSize = 64;
 
-    explicit HbRaceDetector(sim::Simulator& sim) : sim_(sim) {}
+    explicit HbRaceDetector(const sim::Simulator& sim) : sim_(sim) {}
 
     HbRaceDetector(const HbRaceDetector&) = delete;
     HbRaceDetector& operator=(const HbRaceDetector&) = delete;
@@ -229,7 +229,7 @@ class HbRaceDetector {
 
     using SyncMap = std::unordered_map<SyncKey, VectorClock, SyncKeyHash>;
 
-    sim::Simulator& sim_;
+    const sim::Simulator& sim_;
     sim::ActorRegistry actors_;
     std::vector<VectorClock> clocks_;  ///< indexed by actor id - 1
     RegionLines<LineState> lines_;  ///< shadow lines, paged per region

@@ -19,7 +19,8 @@
  * set the state it conflicts with — mirroring the coherence checker's
  * two-site attribution.
  *
- * All hooks compile away under -DWAVE_CHECK=OFF (see check/hooks.h).
+ * Every hook site tests for a null checker, so components built without
+ * a WaveRuntime run unchecked.
  */
 // wave-domain: neutral
 #pragma once
@@ -128,7 +129,7 @@ struct ProtocolStats {
  */
 class ProtocolChecker {
   public:
-    explicit ProtocolChecker(sim::Simulator& sim) : sim_(sim) {}
+    explicit ProtocolChecker(const sim::Simulator& sim) : sim_(sim) {}
 
     ProtocolChecker(const ProtocolChecker&) = delete;
     ProtocolChecker& operator=(const ProtocolChecker&) = delete;
@@ -264,7 +265,7 @@ class ProtocolChecker {
     void Report(ProtocolViolationKind kind, const ProtocolSite& current,
                 const ProtocolSite& previous);
 
-    sim::Simulator& sim_;
+    const sim::Simulator& sim_;
     std::unordered_map<ScopedKey, TxnShadow, ScopedKeyHash> txns_;
     std::unordered_map<const void*, StreamShadow> streams_;
     std::unordered_map<ScopedKey, TaskState, ScopedKeyHash> tasks_;

@@ -1,7 +1,6 @@
 // wave-domain: host
 #include "ghost/enclave.h"
 
-#include "check/hooks.h"
 
 namespace wave::ghost {
 
@@ -20,14 +19,13 @@ Enclave::Enclave(WaveRuntime& runtime, EnclaveConfig config)
     } else {
         auto shm = std::make_unique<ShmSchedTransport>(runtime_.Sim(),
                                                        config_.cores);
-        WAVE_CHECK_HOOK(
-            shm->AttachCheckers(runtime_.Hb(), runtime_.Protocol()));
+        shm->AttachCheckers(runtime_.Hb(), runtime_.Protocol());
         transport_ = std::move(shm);
     }
     kernel_ = std::make_unique<KernelSched>(
         runtime_.Sim(), runtime_.GetMachine(), *transport_, config_.costs,
         config_.kernel_options);
-    WAVE_CHECK_HOOK(kernel_->AttachProtocol(runtime_.Protocol()));
+    kernel_->AttachProtocol(runtime_.Protocol());
 }
 
 void
@@ -56,7 +54,7 @@ Enclave::Start()
         watchdog_ = std::make_unique<Watchdog>(
             runtime_.Sim(), config_.watchdog_timeout_ns,
             config_.watchdog_interval_ns, [this] { RestartAgent(); });
-        WAVE_CHECK_HOOK(watchdog_->AttachProtocol(runtime_.Protocol()));
+        watchdog_->AttachProtocol(runtime_.Protocol());
         runtime_.Sim().Spawn(FeedWatchdogLoop());
         watchdog_->Arm();
     }

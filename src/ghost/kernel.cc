@@ -1,7 +1,6 @@
 // wave-domain: host
 #include "ghost/kernel.h"
 
-#include "check/hooks.h"
 #include "check/protocol.h"
 #include "sim/inject.h"
 #include "sim/trace.h"
@@ -11,7 +10,6 @@
 
 namespace wave::ghost {
 
-#ifdef WAVE_CHECK_ENABLED
 namespace {
 
 check::TaskShadow
@@ -27,7 +25,6 @@ ShadowOf(ThreadState state)
 }
 
 }  // namespace
-#endif
 
 KernelSched::KernelSched(sim::Simulator& sim, machine::Machine& machine,
                          SchedTransport& transport, GhostCosts costs,
@@ -44,12 +41,10 @@ void
 KernelSched::AddThread(Tid tid, std::shared_ptr<ThreadBody> body)
 {
     threads_.Add(tid, std::move(body));
-    WAVE_CHECK_HOOK({
-        if (protocol_ != nullptr) {
-            protocol_->OnTaskState(this, tid, check::TaskShadow::kRunnable,
-                                   "KernelSched::AddThread");
-        }
-    });
+    if (protocol_ != nullptr) {
+        protocol_->OnTaskState(this, tid, check::TaskShadow::kRunnable,
+                               "KernelSched::AddThread");
+    }
     // The creation message is sent from process context (not a specific
     // scheduled core); model it as a detached host-side send.
     sim_.Spawn(SendEvent(MsgType::kThreadCreated, tid, /*core=*/-1));
@@ -68,12 +63,10 @@ KernelSched::WakeThread(Tid tid)
         return;  // already runnable; wakeup is a no-op
     }
     rec->state = ThreadState::kRunnable;
-    WAVE_CHECK_HOOK({
-        if (protocol_ != nullptr) {
-            protocol_->OnTaskState(this, tid, check::TaskShadow::kRunnable,
-                                   "KernelSched::WakeThread");
-        }
-    });
+    if (protocol_ != nullptr) {
+        protocol_->OnTaskState(this, tid, check::TaskShadow::kRunnable,
+                               "KernelSched::WakeThread");
+    }
     sim_.Spawn(SendEvent(MsgType::kThreadWakeup, tid, rec->last_core));
 }
 
@@ -128,13 +121,11 @@ KernelSched::CommitDecision(int core, const PendingDecision& pd)
     co_await sim_.Delay(costs_.commit_ns);
     if (pd.decision.type == DecisionType::kIdle) {
         ++stats_.commits_ok;
-        WAVE_CHECK_HOOK({
-            if (protocol_ != nullptr) {
-                protocol_->OnCommitDecision(
-                    this, pd.txn_id, /*tid=*/-1, /*run_decision=*/false,
-                    /*committed=*/true, "KernelSched::CommitDecision[idle]");
-            }
-        });
+        if (protocol_ != nullptr) {
+            protocol_->OnCommitDecision(
+                this, pd.txn_id, /*tid=*/-1, /*run_decision=*/false,
+                /*committed=*/true, "KernelSched::CommitDecision[idle]");
+        }
         co_await transport_.HostSendOutcome(
             core, {pd.txn_id, api::TxnStatus::kCommitted});
         co_return nullptr;
@@ -144,14 +135,12 @@ KernelSched::CommitDecision(int core, const PendingDecision& pd)
         // touching thread state. The agent must requeue the thread and
         // recover, exactly as for an organic stale-state failure.
         ++stats_.commits_failed;
-        WAVE_CHECK_HOOK({
-            if (protocol_ != nullptr) {
-                protocol_->OnCommitDecision(
-                    this, pd.txn_id, pd.decision.tid,
-                    /*run_decision=*/true, /*committed=*/false,
-                    "KernelSched::CommitDecision[injected]");
-            }
-        });
+        if (protocol_ != nullptr) {
+            protocol_->OnCommitDecision(
+                this, pd.txn_id, pd.decision.tid,
+                /*run_decision=*/true, /*committed=*/false,
+                "KernelSched::CommitDecision[injected]");
+        }
         co_await transport_.HostSendOutcome(
             core, {pd.txn_id, api::TxnStatus::kFailedRejected});
         co_return nullptr;
@@ -161,14 +150,12 @@ KernelSched::CommitDecision(int core, const PendingDecision& pd)
         // Atomic-commit failure: the thread exited, is already running
         // elsewhere, or blocked concurrently. Host state is untouched.
         ++stats_.commits_failed;
-        WAVE_CHECK_HOOK({
-            if (protocol_ != nullptr) {
-                protocol_->OnCommitDecision(
-                    this, pd.txn_id, pd.decision.tid,
-                    /*run_decision=*/true, /*committed=*/false,
-                    "KernelSched::CommitDecision[failed]");
-            }
-        });
+        if (protocol_ != nullptr) {
+            protocol_->OnCommitDecision(
+                this, pd.txn_id, pd.decision.tid,
+                /*run_decision=*/true, /*committed=*/false,
+                "KernelSched::CommitDecision[failed]");
+        }
         WAVE_TRACE_EVENT(&sim_, "ghost",
                          "commit FAILED txn=%llu tid=%d core=%d",
                          static_cast<unsigned long long>(pd.txn_id),
@@ -178,13 +165,11 @@ KernelSched::CommitDecision(int core, const PendingDecision& pd)
         co_return nullptr;
     }
     ++stats_.commits_ok;
-    WAVE_CHECK_HOOK({
-        if (protocol_ != nullptr) {
-            protocol_->OnCommitDecision(
-                this, pd.txn_id, pd.decision.tid, /*run_decision=*/true,
-                /*committed=*/true, "KernelSched::CommitDecision");
-        }
-    });
+    if (protocol_ != nullptr) {
+        protocol_->OnCommitDecision(
+            this, pd.txn_id, pd.decision.tid, /*run_decision=*/true,
+            /*committed=*/true, "KernelSched::CommitDecision");
+    }
     WAVE_TRACE_EVENT(&sim_, "ghost", "commit txn=%llu tid=%d core=%d",
                      static_cast<unsigned long long>(pd.txn_id),
                      pd.decision.tid, core);
@@ -248,14 +233,12 @@ KernelSched::CoreLoop(int core)
                 if (current != nullptr) {
                     // Real preemption: put the running thread back.
                     current->state = ThreadState::kRunnable;
-                    WAVE_CHECK_HOOK({
-                        if (protocol_ != nullptr) {
-                            protocol_->OnTaskState(
-                                this, current->tid,
-                                check::TaskShadow::kRunnable,
-                                "KernelSched::CoreLoop[preempt]");
-                        }
-                    });
+                    if (protocol_ != nullptr) {
+                        protocol_->OnTaskState(
+                            this, current->tid,
+                            check::TaskShadow::kRunnable,
+                            "KernelSched::CoreLoop[preempt]");
+                    }
                     ++stats_.preemptions;
                     WAVE_TRACE_EVENT(&sim_, "ghost",
                                      "preempt tid=%d core=%d",
@@ -362,13 +345,11 @@ KernelSched::CoreLoop(int core)
             event = MsgType::kThreadDead;
             break;
         }
-        WAVE_CHECK_HOOK({
-            if (protocol_ != nullptr) {
-                protocol_->OnTaskState(this, tid,
-                                       ShadowOf(current->state),
-                                       "KernelSched::CoreLoop[stop]");
-            }
-        });
+        if (protocol_ != nullptr) {
+            protocol_->OnTaskState(this, tid,
+                                   ShadowOf(current->state),
+                                   "KernelSched::CoreLoop[stop]");
+        }
         current = nullptr;
         co_await SendEvent(event, tid, core);
     }

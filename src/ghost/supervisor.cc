@@ -1,7 +1,6 @@
 // wave-domain: host
 #include "ghost/supervisor.h"
 
-#include "check/hooks.h"
 #include "check/protocol.h"
 #include "sim/trace.h"
 
@@ -30,7 +29,7 @@ AgentSupervisor::Supervise(AgentId id, std::shared_ptr<GhostAgent> agent,
     dog_ = std::make_unique<Watchdog>(sim_, config_.timeout,
                                       config_.check_interval,
                                       [this] { OnExpire(); });
-    WAVE_CHECK_HOOK(dog_->AttachProtocol(runtime_.Protocol()));
+    dog_->AttachProtocol(runtime_.Protocol());
     dog_->Arm();
     sim_.Spawn(FeedLoop());
 }

@@ -6,7 +6,6 @@
 
 #include "channel/bytes.h"
 #include "check/hb.h"
-#include "check/hooks.h"
 #include "check/protocol.h"
 
 namespace wave::ghost {
@@ -109,17 +108,15 @@ WaveSchedTransport::WaveSchedTransport(WaveRuntime& runtime,
         // double-commit-bug hook (MSI-X/DMA/MMIO hooks bind inside the
         // runtime's factories).
         pc->nic_txn->SetFaultInjector(runtime.Injector());
-        WAVE_CHECK_HOOK({
-            pc->nic_txn->AttachProtocol(runtime.Protocol());
-            pc->host_txn->AttachProtocol(runtime.Protocol());
-            // The kick's HB edge runs from the committing agent (the
-            // decision producer) to the kicked core (the consumer).
-            if (runtime.Hb() != nullptr) {
-                pc->msix->AttachHb(runtime.Hb(),
-                                   pc->decisions.nic->HbActor(),
-                                   pc->decisions.host->HbActor());
-            }
-        });
+        pc->nic_txn->AttachProtocol(runtime.Protocol());
+        pc->host_txn->AttachProtocol(runtime.Protocol());
+        // The kick's HB edge runs from the committing agent (the
+        // decision producer) to the kicked core (the consumer).
+        if (runtime.Hb() != nullptr) {
+            pc->msix->AttachHb(runtime.Hb(),
+                               pc->decisions.nic->HbActor(),
+                               pc->decisions.host->HbActor());
+        }
         ServeCore(percore_, served_cores_, core, std::move(pc));
     }
 }
@@ -141,17 +138,13 @@ WaveSchedTransport::HostSendMessage(const GhostMessage& message)
     // holder's release. The producer endpoint is bound as one actor (all
     // senders are serialized right here), so this edge documents the
     // serialization rather than splitting the senders into actors.
-    WAVE_CHECK_HOOK({
-        if (auto* hb = runtime_.Hb()) {
-            hb->OnAcquire(messages_.host->HbActor(), &send_lock_, 0);
-        }
-    });
+    if (auto* hb = runtime_.Hb()) {
+        hb->OnAcquire(messages_.host->HbActor(), &send_lock_, 0);
+    }
     const std::size_t sent = co_await messages_.host->Send(batch);
-    WAVE_CHECK_HOOK({
-        if (auto* hb = runtime_.Hb()) {
-            hb->OnRelease(messages_.host->HbActor(), &send_lock_, 0);
-        }
-    });
+    if (auto* hb = runtime_.Hb()) {
+        hb->OnRelease(messages_.host->HbActor(), &send_lock_, 0);
+    }
     send_lock_.Release();
     WAVE_ASSERT(sent == 1, "ghOSt message queue overflow");
 }
@@ -283,35 +276,32 @@ ShmSchedTransport::AttachCheckers(check::HbRaceDetector* hb,
                                   check::ProtocolChecker* protocol)
 {
     protocol_ = protocol;
-    (void)hb;  // referenced only by the gated block below
-    WAVE_CHECK_HOOK({
-        // The message queue has many sending contexts (every core loop)
-        // which the coherent deque serializes per push; they are bound
-        // as one producer actor (documented over-approximation).
-        messages_.BindCheckers(
-            hb, protocol,
-            // Both sides of the shm baseline live on the host.
-            hb != nullptr  // wave-domain: host
-                ? hb->RegisterActor("shm-msg-producers")
-                : 0,
-            hb != nullptr  // wave-domain: host
-                ? hb->RegisterActor("shm-agent")
-                : 0);
-        // Ascending core order, so HB actor ids do not depend on the
-        // order the core set was listed in.
-        for (auto& pc : percore_) {
-            if (pc == nullptr) continue;
-            const sim::ActorId agent =  // wave-domain: host
-                hb != nullptr ? hb->RegisterActor("shm-agent") : 0;
-            const sim::ActorId core_loop =  // wave-domain: host
-                hb != nullptr ? hb->RegisterActor("shm-core-loop") : 0;
-            pc->decisions->BindCheckers(hb, protocol, agent, core_loop);
-            pc->outcomes->BindCheckers(hb, protocol, core_loop, agent);
-            if (hb != nullptr) {
-                pc->ipi->AttachHb(hb, agent, core_loop);
-            }
+    // The message queue has many sending contexts (every core loop)
+    // which the coherent deque serializes per push; they are bound
+    // as one producer actor (documented over-approximation).
+    messages_.BindCheckers(
+        hb, protocol,
+        // Both sides of the shm baseline live on the host.
+        hb != nullptr  // wave-domain: host
+            ? hb->RegisterActor("shm-msg-producers")
+            : 0,
+        hb != nullptr  // wave-domain: host
+            ? hb->RegisterActor("shm-agent")
+            : 0);
+    // Ascending core order, so HB actor ids do not depend on the
+    // order the core set was listed in.
+    for (auto& pc : percore_) {
+        if (pc == nullptr) continue;
+        const sim::ActorId agent =  // wave-domain: host
+            hb != nullptr ? hb->RegisterActor("shm-agent") : 0;
+        const sim::ActorId core_loop =  // wave-domain: host
+            hb != nullptr ? hb->RegisterActor("shm-core-loop") : 0;
+        pc->decisions->BindCheckers(hb, protocol, agent, core_loop);
+        pc->outcomes->BindCheckers(hb, protocol, core_loop, agent);
+        if (hb != nullptr) {
+            pc->ipi->AttachHb(hb, agent, core_loop);
         }
-    });
+    }
 }
 
 ShmSchedTransport::PerCore&
@@ -340,13 +330,11 @@ ShmSchedTransport::HostPollDecision(int core, bool /*flush_first*/)
     std::memcpy(&out.txn_id, bytes->data(), sizeof(out.txn_id));
     std::memcpy(&out.decision, bytes->data() + sizeof(api::TxnId),
                 sizeof(out.decision));
-    WAVE_CHECK_HOOK({
-        if (protocol_ != nullptr) {
-            protocol_->OnTxnDelivered(For(core).decisions.get(),
-                                      out.txn_id, check::Domain::kHost,
-                                      "ShmSchedTransport::HostPollDecision");
-        }
-    });
+    if (protocol_ != nullptr) {
+        protocol_->OnTxnDelivered(For(core).decisions.get(),
+                                  out.txn_id, check::Domain::kHost,
+                                  "ShmSchedTransport::HostPollDecision");
+    }
     co_return out;
 }
 
@@ -367,13 +355,11 @@ ShmSchedTransport::HostSendOutcome(int core, const api::TxnOutcome& outcome)
     std::memcpy(record.data(), &outcome.txn_id, sizeof(outcome.txn_id));
     std::memcpy(record.data() + sizeof(api::TxnId), &outcome.status,
                 sizeof(outcome.status));
-    WAVE_CHECK_HOOK({
-        if (protocol_ != nullptr) {
-            protocol_->OnTxnOutcome(For(core).decisions.get(),
-                                    outcome.txn_id, check::Domain::kHost,
-                                    "ShmSchedTransport::HostSendOutcome");
-        }
-    });
+    if (protocol_ != nullptr) {
+        protocol_->OnTxnOutcome(For(core).decisions.get(),
+                                outcome.txn_id, check::Domain::kHost,
+                                "ShmSchedTransport::HostSendOutcome");
+    }
     std::vector<api::Bytes> batch;
     batch.push_back(std::move(record));
     co_await For(core).outcomes->Send(
@@ -412,13 +398,11 @@ ShmSchedTransport::AgentStageDecision(const GhostDecision& d)
     api::Bytes framed(kDecisionSlot);
     std::memcpy(framed.data(), &id, sizeof(id));
     std::memcpy(framed.data() + sizeof(api::TxnId), &d, sizeof(d));
-    WAVE_CHECK_HOOK({
-        if (protocol_ != nullptr) {
-            protocol_->OnTxnCreated(For(d.core).decisions.get(), id,
-                                    check::Domain::kHost,
-                                    "ShmSchedTransport::AgentStageDecision");
-        }
-    });
+    if (protocol_ != nullptr) {
+        protocol_->OnTxnCreated(For(d.core).decisions.get(), id,
+                                check::Domain::kHost,
+                                "ShmSchedTransport::AgentStageDecision");
+    }
     For(d.core).staged.push_back(
         std::move(framed));
     return id;
@@ -430,17 +414,15 @@ ShmSchedTransport::AgentCommit(int core, bool kick)
 {
     PerCore& pc = For(core);
     const std::size_t sent = co_await pc.decisions->Send(pc.staged);
-    WAVE_CHECK_HOOK({
-        if (protocol_ != nullptr) {
-            for (std::size_t i = 0; i < sent; ++i) {
-                api::TxnId id = 0;
-                std::memcpy(&id, pc.staged[i].data(), sizeof(id));
-                protocol_->OnTxnPublished(pc.decisions.get(), id,
-                                          check::Domain::kHost,
-                                          "ShmSchedTransport::AgentCommit");
-            }
+    if (protocol_ != nullptr) {
+        for (std::size_t i = 0; i < sent; ++i) {
+            api::TxnId id = 0;
+            std::memcpy(&id, pc.staged[i].data(), sizeof(id));
+            protocol_->OnTxnPublished(pc.decisions.get(), id,
+                                      check::Domain::kHost,
+                                      "ShmSchedTransport::AgentCommit");
         }
-    });
+    }
     pc.staged.erase(pc.staged.begin(),
                     pc.staged.begin() + static_cast<std::ptrdiff_t>(sent));
     if (kick && sent > 0) {
@@ -463,14 +445,12 @@ ShmSchedTransport::AgentPollOutcomes(int core, std::size_t max)
                     sizeof(outcome.txn_id));
         std::memcpy(&outcome.status, bytes->data() + sizeof(api::TxnId),
                     sizeof(outcome.status));
-        WAVE_CHECK_HOOK({
-            if (protocol_ != nullptr) {
-                protocol_->OnTxnOutcomeObserved(
-                    pc.decisions.get(), outcome.txn_id,
-                    check::Domain::kHost,
-                    "ShmSchedTransport::AgentPollOutcomes");
-            }
-        });
+        if (protocol_ != nullptr) {
+            protocol_->OnTxnOutcomeObserved(
+                pc.decisions.get(), outcome.txn_id,
+                check::Domain::kHost,
+                "ShmSchedTransport::AgentPollOutcomes");
+        }
         out.push_back(outcome);
     }
     co_return out;

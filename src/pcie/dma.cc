@@ -4,7 +4,6 @@
 #include "pcie/dma.h"
 
 #include "check/coherence.h"
-#include "check/hooks.h"
 #include "sim/inject.h"
 
 namespace wave::pcie {
@@ -84,17 +83,15 @@ DmaEngine::RunTransfer(std::shared_ptr<DmaCompletion> completion,
     if (write_observer_) {
         write_observer_(dst, dst_offset, n);
     }
-    WAVE_CHECK_HOOK({
-        if (checker_ != nullptr) {
-            checker_->OnRead(&src, check::Domain::kDma, src_offset, n,
-                             /*from_host_cache=*/false,
-                             /*tolerate_stale=*/false,
-                             "DmaEngine::RunTransfer(src)");
-            checker_->OnDmaWrite(&dst, dst_offset, n,
-                                 "DmaEngine::RunTransfer(dst)");
-            checker_->OnOrderingPoint("dma-completion");
-        }
-    });
+    if (checker_ != nullptr) {
+        checker_->OnRead(&src, check::Domain::kDma, src_offset, n,
+                         /*from_host_cache=*/false,
+                         /*tolerate_stale=*/false,
+                         "DmaEngine::RunTransfer(src)");
+        checker_->OnDmaWrite(&dst, dst_offset, n,
+                             "DmaEngine::RunTransfer(dst)");
+        checker_->OnOrderingPoint("dma-completion");
+    }
     channel_.Release();
     completion->MarkDone();
 }

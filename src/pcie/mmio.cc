@@ -7,7 +7,6 @@
 #include <cstring>
 
 #include "check/coherence.h"
-#include "check/hooks.h"
 #include "sim/inject.h"
 
 namespace wave::pcie {
@@ -105,14 +104,12 @@ HostMmioMapping::ReadUncached(std::size_t offset, void* dst, std::size_t n)
     co_await dram_.Sim().Delay(config_.mmio_read_ns * words +
                                ExtraPcieDelay());
     dram_.Backing().ReadRaw(offset, dst, n);
-    WAVE_CHECK_HOOK({
-        if (auto* checker = dram_.Checker()) {
-            checker->OnRead(&dram_.Backing(), check::Domain::kHost,
-                            offset, n, /*from_host_cache=*/false,
-                            /*tolerate_stale=*/false,
-                            "HostMmioMapping::ReadUncached");
-        }
-    });
+    if (auto* checker = dram_.Checker()) {
+        checker->OnRead(&dram_.Backing(), check::Domain::kHost,
+                        offset, n, /*from_host_cache=*/false,
+                        /*tolerate_stale=*/false,
+                        "HostMmioMapping::ReadUncached");
+    }
 }
 
 // wave-lifetime(caller-awaits)
@@ -130,16 +127,14 @@ HostMmioMapping::ReadCachedWt(std::size_t offset, void* dst, std::size_t n,
             // Filled line in cache: a hit, possibly a stale one.
             stats_.cache_hits += 1;
             if (cached->nic_dirtied) stats_.stale_reads += 1;
-            WAVE_CHECK_HOOK({
-                if (auto* checker = dram_.Checker()) {
-                    const LineSpan span = ClampToLine(line, offset, n);
-                    checker->OnRead(&dram_.Backing(),
-                                    check::Domain::kHost, span.offset,
-                                    span.size, /*from_host_cache=*/true,
-                                    tolerate_stale,
-                                    "HostMmioMapping::ReadCachedWt");
-                }
-            });
+            if (auto* checker = dram_.Checker()) {
+                const LineSpan span = ClampToLine(line, offset, n);
+                checker->OnRead(&dram_.Backing(),
+                                check::Domain::kHost, span.offset,
+                                span.size, /*from_host_cache=*/true,
+                                tolerate_stale,
+                                "HostMmioMapping::ReadCachedWt");
+            }
             co_await dram_.Sim().Delay(config_.cache_hit_ns);
             continue;
         }
@@ -165,17 +160,15 @@ HostMmioMapping::ReadCachedWt(std::size_t offset, void* dst, std::size_t n,
         CacheLine& cl = Slot(line);
         Snapshot(line, cl);
         cl.fill_done = dram_.Sim().Now();
-        WAVE_CHECK_HOOK({
-            if (auto* checker = dram_.Checker()) {
-                checker->OnCacheFill(&dram_.Backing(), line);
-                const LineSpan span = ClampToLine(line, offset, n);
-                checker->OnRead(&dram_.Backing(), check::Domain::kHost,
-                                span.offset, span.size,
-                                /*from_host_cache=*/false,
-                                tolerate_stale,
-                                "HostMmioMapping::ReadCachedWt(fill)");
-            }
-        });
+        if (auto* checker = dram_.Checker()) {
+            checker->OnCacheFill(&dram_.Backing(), line);
+            const LineSpan span = ClampToLine(line, offset, n);
+            checker->OnRead(&dram_.Backing(), check::Domain::kHost,
+                            span.offset, span.size,
+                            /*from_host_cache=*/false,
+                            tolerate_stale,
+                            "HostMmioMapping::ReadCachedWt(fill)");
+        }
     }
 
     // Serve the bytes from the cached copies (which may be stale — that
@@ -303,12 +296,10 @@ HostMmioMapping::Write(std::size_t offset, const void* src, std::size_t n)
             store.offset = offset;
             store.len = n;
             std::memcpy(store.data.data(), src, n);
-            WAVE_CHECK_HOOK({
-                if (auto* checker = dram_.Checker()) {
-                    checker->OnWcBuffered(&dram_.Backing(), offset, n,
-                                          "HostMmioMapping::Write[WC]");
-                }
-            });
+            if (auto* checker = dram_.Checker()) {
+                checker->OnWcBuffered(&dram_.Backing(), offset, n,
+                                      "HostMmioMapping::Write[WC]");
+            }
             co_await dram_.Sim().Delay(
                 config_.wc_store_ns * WordsIn(n));
         } else {
@@ -348,12 +339,10 @@ HostMmioMapping::Write(std::size_t offset, const void* src, std::size_t n)
             i += chunk;
         }
     }
-    WAVE_CHECK_HOOK({
-        if (auto* checker = dram_.Checker()) {
-            checker->OnWrite(&dram_.Backing(), check::Domain::kHost,
-                             offset, n, "HostMmioMapping::Write");
-        }
-    });
+    if (auto* checker = dram_.Checker()) {
+        checker->OnWrite(&dram_.Backing(), check::Domain::kHost,
+                         offset, n, "HostMmioMapping::Write");
+    }
     PostStores(offset, src, n);
 }
 
@@ -371,19 +360,15 @@ HostMmioMapping::Sfence()
     wc_stores_.clear();
     co_await dram_.Sim().Delay(config_.sfence_ns);
     for (const WcStore& store : stores) {
-        WAVE_CHECK_HOOK({
-            if (auto* checker = dram_.Checker()) {
-                checker->OnWcDrained(&dram_.Backing(), store.offset,
-                                     store.len);
-            }
-        });
+        if (auto* checker = dram_.Checker()) {
+            checker->OnWcDrained(&dram_.Backing(), store.offset,
+                                 store.len);
+        }
         PostStores(store.offset, store.data.data(), store.len);
     }
-    WAVE_CHECK_HOOK({
-        if (auto* checker = dram_.Checker()) {
-            checker->OnOrderingPoint("sfence");
-        }
-    });
+    if (auto* checker = dram_.Checker()) {
+        checker->OnOrderingPoint("sfence");
+    }
     // Hand the drained buffer's capacity back unless a nested burst
     // already started a fresh one.
     if (wc_stores_.capacity() == 0) {
@@ -415,11 +400,9 @@ HostMmioMapping::Prefetch(std::size_t offset, std::size_t n)
                 return;  // clflushed or refilled in the meantime
             }
             Snapshot(line, *entry);
-            WAVE_CHECK_HOOK({
-                if (auto* checker = dram_.Checker()) {
-                    checker->OnCacheFill(&dram_.Backing(), line);
-                }
-            });
+            if (auto* checker = dram_.Checker()) {
+                checker->OnCacheFill(&dram_.Backing(), line);
+            }
         });
     }
 }
@@ -435,18 +418,14 @@ HostMmioMapping::Clflush(std::size_t offset, std::size_t n)
         if (Erase(line)) {
             stats_.clflushes += 1;
             cost += config_.clflush_ns;
-            WAVE_CHECK_HOOK({
-                if (auto* checker = dram_.Checker()) {
-                    checker->OnCacheDrop(&dram_.Backing(), line);
-                }
-            });
+            if (auto* checker = dram_.Checker()) {
+                checker->OnCacheDrop(&dram_.Backing(), line);
+            }
         }
     }
-    WAVE_CHECK_HOOK({
-        if (auto* checker = dram_.Checker()) {
-            checker->OnOrderingPoint("clflush");
-        }
-    });
+    if (auto* checker = dram_.Checker()) {
+        checker->OnOrderingPoint("clflush");
+    }
     if (cost > 0) {
         co_await dram_.Sim().Delay(cost);
     }
@@ -459,11 +438,9 @@ HostMmioMapping::InvalidateLines(std::size_t offset, std::size_t n)
     const std::size_t last_line = LineOf(offset + n - 1);
     for (std::size_t line = first_line; line <= last_line; ++line) {
         if (Erase(line)) {
-            WAVE_CHECK_HOOK({
-                if (auto* checker = dram_.Checker()) {
-                    checker->OnCacheDrop(&dram_.Backing(), line);
-                }
-            });
+            if (auto* checker = dram_.Checker()) {
+                checker->OnCacheDrop(&dram_.Backing(), line);
+            }
         }
     }
 }
@@ -510,13 +487,11 @@ NicLocalMapping::ReadAccess::await_resume() const
 {
     NicDram& dram = map_.dram_;
     dram.Backing().ReadRaw(offset_, dst_, n_);
-    WAVE_CHECK_HOOK({
-        if (auto* checker = dram.Checker()) {
-            checker->OnRead(&dram.Backing(), check::Domain::kNic, offset_,
-                            n_, /*from_host_cache=*/false, tolerate_stale_,
-                            "NicLocalMapping::Read");
-        }
-    });
+    if (auto* checker = dram.Checker()) {
+        checker->OnRead(&dram.Backing(), check::Domain::kNic, offset_,
+                        n_, /*from_host_cache=*/false, tolerate_stale_,
+                        "NicLocalMapping::Read");
+    }
 }
 
 void
@@ -524,12 +499,10 @@ NicLocalMapping::WriteAccess::await_resume() const
 {
     NicDram& dram = map_.dram_;
     dram.Backing().WriteRaw(offset_, src_, n_);
-    WAVE_CHECK_HOOK({
-        if (auto* checker = dram.Checker()) {
-            checker->OnWrite(&dram.Backing(), check::Domain::kNic,
-                             offset_, n_, "NicLocalMapping::Write");
-        }
-    });
+    if (auto* checker = dram.Checker()) {
+        checker->OnWrite(&dram.Backing(), check::Domain::kNic,
+                         offset_, n_, "NicLocalMapping::Write");
+    }
     dram.OnNicWrite(offset_, n_);
 }
 

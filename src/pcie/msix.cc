@@ -4,7 +4,6 @@
 
 #include "check/coherence.h"
 #include "check/hb.h"
-#include "check/hooks.h"
 #include "sim/inject.h"
 
 namespace wave::pcie {
@@ -21,7 +20,6 @@ MsiXVector::Send(SendPath path)
         // Lost in flight: the sender still pays the register write, but
         // the pending bit never latches at the host. Recovery is the
         // receiver's problem (polling, watchdog).
-        ++drops_;
         co_await sim_.Delay(send_cost);
         co_return;
     }
@@ -36,21 +34,17 @@ MsiXVector::Send(SendPath path)
     }
     // The send is the release half of the interrupt's HB edge; the
     // acquire fires at delivery below.
-    WAVE_CHECK_HOOK({
-        if (hb_ != nullptr) {
-            hb_->OnRelease(hb_sender_, this, 0);
-        }
-    });
+    if (hb_ != nullptr) {
+        hb_->OnRelease(hb_sender_, this, 0);
+    }
     sim_.Schedule(send_cost + wire, [this] {
         pending_ = true;
-        WAVE_CHECK_HOOK({
-            if (checker_ != nullptr) {
-                checker_->OnOrderingPoint("msix-delivery");
-            }
-            if (hb_ != nullptr) {
-                hb_->OnAcquire(hb_receiver_, this, 0);
-            }
-        });
+        if (checker_ != nullptr) {
+            checker_->OnOrderingPoint("msix-delivery");
+        }
+        if (hb_ != nullptr) {
+            hb_->OnAcquire(hb_receiver_, this, 0);
+        }
         if (!masked_) {
             arrival_.NotifyAll();
             if (delivery_handler_) delivery_handler_();

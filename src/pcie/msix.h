@@ -86,7 +86,6 @@ class MsiXVector {
     }
 
     std::uint64_t SendCount() const { return sends_; }
-    std::uint64_t DroppedCount() const { return drops_; }
 
     /**
      * Attaches the fault injector; sends then consult it for extra
@@ -134,7 +133,6 @@ class MsiXVector {
     bool pending_ = false;
     bool masked_ = false;
     std::uint64_t sends_ = 0;
-    std::uint64_t drops_ = 0;
 };
 
 }  // namespace wave::pcie

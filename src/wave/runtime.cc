@@ -6,7 +6,6 @@
 
 #include "check/coherence.h"
 #include "check/hb.h"
-#include "check/hooks.h"
 #include "check/protocol.h"
 #include "sim/inject.h"
 
@@ -33,18 +32,16 @@ WaveRuntime::WaveRuntime(sim::Simulator& sim, machine::Machine& machine,
             dram_->OnNicWrite(offset, n);
         }
     });
-#ifdef WAVE_CHECK_ENABLED
-    // Built with WAVE_CHECK (the default): every runtime carries the
-    // cross-domain coherence checker, recording violations and warning
-    // on stderr. Tests assert on Checker()->Violations().
+    // Every runtime carries the cross-domain coherence checker,
+    // recording violations and warning on stderr. Tests assert on
+    // Checker()->Violations().
     checker_ = std::make_unique<check::CoherenceChecker>(sim_);
     dram_->AttachChecker(checker_.get());
     dma_->AttachChecker(checker_.get());
     // The protocol verifier and the happens-before race detector ride
-    // on the same gate; queue endpoints bind to them on creation.
+    // along; queue endpoints bind to them on creation.
     protocol_ = std::make_unique<check::ProtocolChecker>(sim_);
     hb_ = std::make_unique<check::HbRaceDetector>(sim_);
-#endif
 }
 
 WaveRuntime::~WaveRuntime() = default;
@@ -80,14 +77,12 @@ WaveRuntime::CreateHostToNicQueue(const channel::QueueConfig& qc)
         *chan.storage, write_type, counter_read);
     chan.nic = std::make_unique<channel::NicConsumer>(*chan.storage,
                                                       NicPte());
-    WAVE_CHECK_HOOK({
-        if (hb_ != nullptr) {
-            chan.host->BindCheckers(hb_.get(), protocol_.get(),
-                                    hb_->RegisterActor("host-producer"));
-            chan.nic->BindCheckers(hb_.get(), protocol_.get(),
-                                   hb_->RegisterActor("nic-consumer"));
-        }
-    });
+    if (hb_ != nullptr) {
+        chan.host->BindCheckers(hb_.get(), protocol_.get(),
+                                hb_->RegisterActor("host-producer"));
+        chan.nic->BindCheckers(hb_.get(), protocol_.get(),
+                               hb_->RegisterActor("nic-consumer"));
+    }
     return chan;
 }
 
@@ -108,14 +103,12 @@ WaveRuntime::CreateNicToHostQueue(const channel::QueueConfig& qc)
                                             : pcie::PteType::kUncacheable;
     chan.host = std::make_unique<channel::HostConsumer>(
         *chan.storage, read_type, counter_write);
-    WAVE_CHECK_HOOK({
-        if (hb_ != nullptr) {
-            chan.nic->BindCheckers(hb_.get(), protocol_.get(),
-                                   hb_->RegisterActor("nic-producer"));
-            chan.host->BindCheckers(hb_.get(), protocol_.get(),
-                                    hb_->RegisterActor("host-consumer"));
-        }
-    });
+    if (hb_ != nullptr) {
+        chan.nic->BindCheckers(hb_.get(), protocol_.get(),
+                               hb_->RegisterActor("nic-producer"));
+        chan.host->BindCheckers(hb_.get(), protocol_.get(),
+                                hb_->RegisterActor("host-consumer"));
+    }
     return chan;
 }
 
@@ -133,7 +126,7 @@ WaveRuntime::CreateDmaQueue(const channel::QueueConfig& qc,
         sim_, *dma_, initiator, qc,
         /*producer_local_ns=*/nic_is_producer ? nic_local : 0,
         /*consumer_local_ns=*/nic_is_producer ? 0 : nic_local);
-    WAVE_CHECK_HOOK(queue->AttachProtocol(protocol_.get()));
+    queue->AttachProtocol(protocol_.get());
     return queue;
 }
 
@@ -141,7 +134,7 @@ std::unique_ptr<pcie::MsiXVector>
 WaveRuntime::CreateMsiXVector()
 {
     auto vector = std::make_unique<pcie::MsiXVector>(sim_, pcie_config_);
-    WAVE_CHECK_HOOK(vector->AttachChecker(checker_.get()));
+    vector->AttachChecker(checker_.get());
     vector->SetFaultInjector(injector_);
     return vector;
 }

@@ -158,24 +158,25 @@ class WaveRuntime {
 
     /**
      * The cross-domain coherence checker attached to this runtime's
-     * fabric, or nullptr when built with -DWAVE_CHECK=OFF. On by
-     * default: it records (and warns about) host<->NIC reads of lines
-     * dirty in the other clock domain without an ordering point.
+     * fabric. It records (and warns about) host<->NIC reads of lines
+     * dirty in the other clock domain without an ordering point. The
+     * three checker accessors return pointers, and every hook tests
+     * for null, so components built without a runtime run unchecked.
      */
     check::CoherenceChecker* Checker() { return checker_.get(); }
 
     /**
-     * The protocol state-machine verifier, or nullptr under
-     * -DWAVE_CHECK=OFF. Queue endpoints created by this runtime report
-     * their seqnum streams to it automatically; subsystems (txn
-     * endpoints, KernelSched, Watchdog) attach themselves on top.
+     * The protocol state-machine verifier. Queue endpoints created by
+     * this runtime report their seqnum streams to it automatically;
+     * subsystems (txn endpoints, KernelSched, Watchdog) attach
+     * themselves on top.
      */
     check::ProtocolChecker* Protocol() { return protocol_.get(); }
 
     /**
-     * The happens-before race detector, or nullptr under
-     * -DWAVE_CHECK=OFF. Queue endpoints created by this runtime are
-     * registered as actors and report accesses + sync edges.
+     * The happens-before race detector. Queue endpoints created by
+     * this runtime are registered as actors and report accesses + sync
+     * edges.
      */
     check::HbRaceDetector* Hb() { return hb_.get(); }
 

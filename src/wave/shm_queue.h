@@ -20,7 +20,6 @@
 
 #include "check/coherence.h"
 #include "check/hb.h"
-#include "check/hooks.h"
 #include "check/protocol.h"
 #include "sim/actor.h"
 #include "sim/fifo_ring.h"
@@ -59,25 +58,23 @@ class ShmQueue {
         for (const auto& message : messages) {
             if (items_.Size() >= capacity_) break;
             co_await sim_.Delay(costs_.write_entry_ns);
-            WAVE_CHECK_HOOK({
-                if (checker_ != nullptr) {
-                    checker_->OnShmAccess(message.size());
-                }
-                // Entries never alias (absolute index), so each gets
-                // its own shadow line; the push is the release.
-                if (hb_ != nullptr) {
-                    hb_->OnAccess(producer_actor_, this,
-                                  sent_ * check::HbRaceDetector::kLineSize,
-                                  check::HbRaceDetector::kLineSize,
-                                  /*is_write=*/true, "ShmQueue::Send");
-                    hb_->OnRelease(producer_actor_, this, sent_);
-                }
-                if (protocol_ != nullptr) {
-                    protocol_->OnStreamSend(this, sent_,
-                                            check::Domain::kHost,
-                                            "ShmQueue::Send");
-                }
-            });
+            if (checker_ != nullptr) {
+                checker_->OnShmAccess(message.size());
+            }
+            // Entries never alias (absolute index), so each gets
+            // its own shadow line; the push is the release.
+            if (hb_ != nullptr) {
+                hb_->OnAccess(producer_actor_, this,
+                              sent_ * check::HbRaceDetector::kLineSize,
+                              check::HbRaceDetector::kLineSize,
+                              /*is_write=*/true, "ShmQueue::Send");
+                hb_->OnRelease(producer_actor_, this, sent_);
+            }
+            if (protocol_ != nullptr) {
+                protocol_->OnStreamSend(this, sent_,
+                                        check::Domain::kHost,
+                                        "ShmQueue::Send");
+            }
             items_.PushBack(message);
             ++sent_;
             ++sent;
@@ -95,24 +92,22 @@ class ShmQueue {
         }
         co_await sim_.Delay(costs_.read_entry_ns);
         auto out = items_.PopFront();
-        WAVE_CHECK_HOOK({
-            if (checker_ != nullptr) {
-                checker_->OnShmAccess(out.size());
-            }
-            if (hb_ != nullptr) {
-                // Each entry is dequeued once: retire its sync var.
-                hb_->OnConsume(consumer_actor_, this, received_);
-                hb_->OnAccess(consumer_actor_, this,
-                              received_ * check::HbRaceDetector::kLineSize,
-                              check::HbRaceDetector::kLineSize,
-                              /*is_write=*/false, "ShmQueue::Poll");
-            }
-            if (protocol_ != nullptr) {
-                protocol_->OnStreamRecv(this, received_,
-                                        check::Domain::kHost,
-                                        "ShmQueue::Poll");
-            }
-        });
+        if (checker_ != nullptr) {
+            checker_->OnShmAccess(out.size());
+        }
+        if (hb_ != nullptr) {
+            // Each entry is dequeued once: retire its sync var.
+            hb_->OnConsume(consumer_actor_, this, received_);
+            hb_->OnAccess(consumer_actor_, this,
+                          received_ * check::HbRaceDetector::kLineSize,
+                          check::HbRaceDetector::kLineSize,
+                          /*is_write=*/false, "ShmQueue::Poll");
+        }
+        if (protocol_ != nullptr) {
+            protocol_->OnStreamRecv(this, received_,
+                                    check::Domain::kHost,
+                                    "ShmQueue::Poll");
+        }
         ++received_;
         co_return out;
     }

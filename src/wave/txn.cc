@@ -3,7 +3,6 @@
 #include "wave/txn.h"
 
 #include "check/coherence.h"
-#include "check/hooks.h"
 #include "check/protocol.h"
 #include "sim/inject.h"
 
@@ -44,13 +43,11 @@ NicTxnEndpoint::TxnCreate(api::Bytes payload)
     staged_.push_back(FrameDecision(
         id, payload, decisions_.QueuePayloadSize()));
     staged_ids_.push_back(id);
-    WAVE_CHECK_HOOK({
-        if (protocol_ != nullptr) {
-            protocol_->OnTxnCreated(&decisions_.Queue(), id,
-                                    check::Domain::kNic,
-                                    "NicTxnEndpoint::TxnCreate");
-        }
-    });
+    if (protocol_ != nullptr) {
+        protocol_->OnTxnCreated(&decisions_.Queue(), id,
+                                check::Domain::kNic,
+                                "NicTxnEndpoint::TxnCreate");
+    }
     return id;
 }
 
@@ -72,37 +69,31 @@ NicTxnEndpoint::TxnsCommit(bool send_msix)
     }
     staged_.erase(staged_.begin(),
                   staged_.begin() + static_cast<std::ptrdiff_t>(sent));
-    WAVE_CHECK_HOOK({
-        if (protocol_ != nullptr) {
-            for (std::size_t i = 0; i < sent; ++i) {
-                protocol_->OnTxnPublished(&decisions_.Queue(),
-                                          staged_ids_[i],
-                                          check::Domain::kNic,
-                                          "NicTxnEndpoint::TxnsCommit");
-            }
+    if (protocol_ != nullptr) {
+        for (std::size_t i = 0; i < sent; ++i) {
+            protocol_->OnTxnPublished(&decisions_.Queue(),
+                                      staged_ids_[i],
+                                      check::Domain::kNic,
+                                      "NicTxnEndpoint::TxnsCommit");
         }
-    });
+    }
     staged_ids_.erase(staged_ids_.begin(),
                       staged_ids_.begin() +
                           static_cast<std::ptrdiff_t>(sent));
-    WAVE_CHECK_HOOK({
-        if (auto* checker = decisions_.Queue().Dram().Checker();
-            checker != nullptr && sent > 0) {
-            checker->OnOrderingPoint("txn-commit");
-        }
-    });
+    if (auto* checker = decisions_.Queue().Dram().Checker();
+        checker != nullptr && sent > 0) {
+        checker->OnOrderingPoint("txn-commit");
+    }
     if (dup) {
         // The bug on the wire: the same transaction id enters the
         // decision queue twice. The host will deliver, commit, and
         // report it twice — the protocol checker must flag every step.
         const bool resent = co_await decisions_.Send(dup_record);
-        WAVE_CHECK_HOOK({
-            if (resent && protocol_ != nullptr) {
-                protocol_->OnTxnPublished(&decisions_.Queue(), dup_id,
-                                          check::Domain::kNic,
-                                          "NicTxnEndpoint::TxnsCommit[dup]");
-            }
-        });
+        if (resent && protocol_ != nullptr) {
+            protocol_->OnTxnPublished(&decisions_.Queue(), dup_id,
+                                      check::Domain::kNic,
+                                      "NicTxnEndpoint::TxnsCommit[dup]");
+        }
         (void)resent;
     }
     if (send_msix && sent > 0) {
@@ -127,14 +118,12 @@ NicTxnEndpoint::PollTxnsOutcomes(std::size_t max)
         std::memcpy(&outcome.status,
                     outcome_buf_.data() + sizeof(api::TxnId),
                     sizeof(outcome.status));
-        WAVE_CHECK_HOOK({
-            if (protocol_ != nullptr) {
-                protocol_->OnTxnOutcomeObserved(
-                    &decisions_.Queue(), outcome.txn_id,
-                    check::Domain::kNic,
-                    "NicTxnEndpoint::PollTxnsOutcomes");
-            }
-        });
+        if (protocol_ != nullptr) {
+            protocol_->OnTxnOutcomeObserved(
+                &decisions_.Queue(), outcome.txn_id,
+                check::Domain::kNic,
+                "NicTxnEndpoint::PollTxnsOutcomes");
+        }
         // Reserved on the first outcome, so an empty poll allocates
         // nothing.
         if (out.empty()) out.reserve(max);
@@ -161,13 +150,11 @@ HostTxnEndpoint::PollTxns(bool flush_first)
     std::memcpy(&txn.id, slot_buf_.data(), sizeof(txn.id));
     txn.payload.assign(slot_buf_.begin() + TxnWire::kHeaderSize,
                        slot_buf_.end());
-    WAVE_CHECK_HOOK({
-        if (protocol_ != nullptr) {
-            protocol_->OnTxnDelivered(&decisions_.Queue(), txn.id,
-                                      check::Domain::kHost,
-                                      "HostTxnEndpoint::PollTxns");
-        }
-    });
+    if (protocol_ != nullptr) {
+        protocol_->OnTxnDelivered(&decisions_.Queue(), txn.id,
+                                  check::Domain::kHost,
+                                  "HostTxnEndpoint::PollTxns");
+    }
     co_return txn;
 }
 
@@ -183,16 +170,14 @@ HostTxnEndpoint::SetTxnsOutcomes(const std::vector<api::TxnOutcome>& outs)
 {
     std::vector<api::Bytes> records;
     records.reserve(outs.size());
-    WAVE_CHECK_HOOK({
-        if (protocol_ != nullptr) {
-            for (const api::TxnOutcome& outcome : outs) {
-                protocol_->OnTxnOutcome(&decisions_.Queue(),
-                                        outcome.txn_id,
-                                        check::Domain::kHost,
-                                        "HostTxnEndpoint::SetTxnsOutcomes");
-            }
+    if (protocol_ != nullptr) {
+        for (const api::TxnOutcome& outcome : outs) {
+            protocol_->OnTxnOutcome(&decisions_.Queue(),
+                                    outcome.txn_id,
+                                    check::Domain::kHost,
+                                    "HostTxnEndpoint::SetTxnsOutcomes");
         }
-    });
+    }
     for (const api::TxnOutcome& outcome : outs) {
         api::Bytes record(outcomes_.QueuePayloadSize());
         std::memcpy(record.data(), &outcome.txn_id,

@@ -2,7 +2,6 @@
 // wave-shared(the lease is fed by the NIC-side agent and expired by host-side fallback logic; both shards read the deadline)
 #include "wave/watchdog.h"
 
-#include "check/hooks.h"
 #include "check/protocol.h"
 #include "sim/trace.h"
 
@@ -25,11 +24,9 @@ Watchdog::Arm()
     armed_ = true;
     expired_ = false;
     last_decision_ = sim_.Now();
-    WAVE_CHECK_HOOK({
-        if (protocol_ != nullptr) {
-            protocol_->OnWatchdogArmed(this, "Watchdog::Arm");
-        }
-    });
+    if (protocol_ != nullptr) {
+        protocol_->OnWatchdogArmed(this, "Watchdog::Arm");
+    }
     sim_.Spawn(Monitor());
 }
 
@@ -37,11 +34,9 @@ void
 Watchdog::NoteDecision()
 {
     last_decision_ = sim_.Now();
-    WAVE_CHECK_HOOK({
-        if (protocol_ != nullptr) {
-            protocol_->OnWatchdogFed(this, "Watchdog::NoteDecision");
-        }
-    });
+    if (protocol_ != nullptr) {
+        protocol_->OnWatchdogFed(this, "Watchdog::NoteDecision");
+    }
 }
 
 void
@@ -66,12 +61,10 @@ Watchdog::Monitor()
             armed_ = false;
             // Record the expiry before on_expire_() so a synchronous
             // restart-and-rearm reaction leaves the shadow armed again.
-            WAVE_CHECK_HOOK({
-                if (protocol_ != nullptr) {
-                    protocol_->OnWatchdogExpired(this,
-                                                 "Watchdog::Monitor");
-                }
-            });
+            if (protocol_ != nullptr) {
+                protocol_->OnWatchdogExpired(this,
+                                             "Watchdog::Monitor");
+            }
             WAVE_TRACE_EVENT(&sim_, "watchdog",
                              "expired: no decision for %llu ns",
                              static_cast<unsigned long long>(

@@ -110,6 +110,48 @@ TEST(SymbolGraph, ResolvesQualifiedCallToOutOfLineMember)
     EXPECT_EQ(callee.full, "wave::x::Wheel::Refill");
 }
 
+TEST(SymbolGraph, MarksCallEdgesIntoTheCheckers)
+{
+    // W301/W305 skip edges whose callee is defined under src/check/:
+    // the checkers observe both domains and sit off the hot budget.
+    const SourceFile checker = ParseSource(
+        "src/check/coherence.cc",
+        "// wave-domain: neutral\n"
+        "namespace wave::check {\n"
+        "void\n"
+        "CoherenceChecker::OnWrite(int line)\n"
+        "{\n"
+        "    Record(line);\n"
+        "}\n"
+        "}  // namespace wave::check\n");
+    const SourceFile model = ParseSource(
+        "src/pcie/mmio.cc",
+        "// wave-domain: pcie\n"
+        "namespace wave::pcie {\n"
+        "void\n"
+        "Mapping::Flush()\n"
+        "{\n"
+        "}\n"
+        "void\n"
+        "Mapping::Store(int line)\n"
+        "{\n"
+        "    checker_->OnWrite(line);\n"
+        "    Flush();\n"
+        "}\n"
+        "}  // namespace wave::pcie\n");
+    SymbolGraph g;
+    g.AddFile(checker);
+    g.AddFile(model);
+    g.ResolveFile(model);
+    ASSERT_EQ(g.calls().size(), 2u);
+    for (const wa::CallEdge& e : g.calls()) {
+        const wa::Symbol& callee =
+            g.symbols()[static_cast<std::size_t>(e.callee)];
+        EXPECT_EQ(e.checker_callee, callee.file == "src/check/coherence.cc")
+            << callee.full;
+    }
+}
+
 TEST(SymbolGraph, OverloadSetResolvesToTheUniqueDefiningFile)
 {
     // Two overloads of one name in one file: a cross-file call still

@@ -103,9 +103,9 @@ TEST(AnalyzeFixtures, W004ActorWithoutDomain)
     ExpectDetected("w004_actor_domain.cc", "W004");
 }
 
-TEST(AnalyzeFixtures, W005UngatedCheckerCall)
+TEST(AnalyzeFixtures, W005EndpointBlindSpot)
 {
-    ExpectDetected("w005_hook_gate.cc", "W005");
+    ExpectDetected("w005_blind_spot/pcie/msix.cc", "W005");
 }
 
 TEST(AnalyzeFixtures, W006StaleWithoutReason)

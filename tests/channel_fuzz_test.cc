@@ -8,16 +8,21 @@
  * and flow control never admits more than `capacity` unconsumed
  * entries.
  *
- * When built with WAVE_CHECK (the default), every fuzz run also uses
- * the protocol state-machine verifier and the happens-before race
- * detector as oracles: random interleavings must never produce a
- * seqnum violation or an unordered conflicting access, no matter how
- * the batches, stalls, and flush/prefetch mixes land.
+ * Every scenario runs twice on the same seed. The checked run attaches
+ * the coherence checker, the protocol state-machine verifier and the
+ * happens-before race detector as oracles: random interleavings must
+ * never produce a stale read, a seqnum violation or an unordered
+ * conflicting access, no matter how the batches, stalls, and
+ * flush/prefetch mixes land. The bare run attaches nothing. Both runs
+ * must deliver the same message sequence with the same event-stream
+ * fingerprint (Simulator::EventHash), which proves the checker hooks
+ * only observe: attaching them changes no simulated behaviour.
  */
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <deque>
+#include <optional>
+#include <vector>
 
 #include "channel/dma_queue.h"
 #include "channel/mmio_queue.h"
@@ -25,10 +30,9 @@
 #include "sim/random.h"
 #include "sim/simulator.h"
 
-#ifdef WAVE_CHECK_ENABLED
+#include "check/coherence.h"
 #include "check/hb.h"
 #include "check/protocol.h"
-#endif
 
 namespace wave::channel {
 namespace {
@@ -72,23 +76,62 @@ CheckMsg(const Bytes& b)
     return seq;
 }
 
-struct FuzzParams {
-    std::uint64_t seed;
-    std::size_t capacity;
-    std::size_t messages;
+/** What one run delivered, and the fingerprint of its event stream. */
+struct RunOutcome {
+    std::vector<std::uint64_t> delivered;  ///< seqnums in delivery order
+    std::uint64_t event_hash = 0;
 };
 
-class MmioFuzzTest
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+/** The three checkers, as WaveRuntime attaches them to its fabric. */
+struct Oracles {
+    explicit Oracles(const Simulator& sim)
+        : coherence(sim), protocol(sim), hb(sim)
+    {
+    }
 
-TEST_P(MmioFuzzTest, HostToNicRandomInterleavings)
+    /** Fails the test on any report; @p recvs is the expected count. */
+    void ExpectClean(std::size_t recvs) const
+    {
+        for (const auto& v : coherence.Violations()) {
+            ADD_FAILURE() << v.Describe();
+        }
+        for (const auto& v : protocol.Violations()) {
+            ADD_FAILURE() << v.Describe();
+        }
+        for (const auto& race : hb.Races()) {
+            ADD_FAILURE() << race.Describe();
+        }
+        EXPECT_EQ(protocol.Stats().stream_recvs, recvs);
+    }
+
+    check::CoherenceChecker coherence;
+    check::ProtocolChecker protocol;
+    check::HbRaceDetector hb;
+};
+
+/** The checked and the bare run of one scenario must be identical. */
+template <typename Scenario>
+void
+ExpectCheckersOnlyObserve(Scenario run, std::size_t total)
 {
-    const auto [seed, capacity] = GetParam();
+    const RunOutcome checked = run(/*checked=*/true);
+    const RunOutcome bare = run(/*checked=*/false);
+    EXPECT_EQ(checked.delivered.size(), total)
+        << "messages lost or duplicated";
+    EXPECT_EQ(checked.delivered, bare.delivered)
+        << "attaching the checkers changed the delivered sequence";
+    EXPECT_EQ(checked.event_hash, bare.event_hash)
+        << "attaching the checkers changed the event stream";
+}
+
+RunOutcome
+RunHostToNic(std::uint64_t seed, std::size_t capacity, bool checked)
+{
     const std::size_t total = 400;
 
     Simulator sim;
     NicDram dram(sim, PcieConfig{}, 1 << 20);
-    QueueConfig qc{.capacity = static_cast<std::size_t>(capacity),
+    QueueConfig qc{.capacity = capacity,
                    .payload_size = 48,
                    .sync_interval = 4};
     MmioQueue queue(dram, 0, qc);
@@ -96,17 +139,20 @@ TEST_P(MmioFuzzTest, HostToNicRandomInterleavings)
                           PteType::kWriteThrough);
     NicConsumer consumer(queue, PteType::kWriteBack);
 
-#ifdef WAVE_CHECK_ENABLED
-    check::ProtocolChecker protocol(sim);
-    check::HbRaceDetector hb(sim);
-    producer.BindCheckers(&hb, &protocol,
-                          hb.RegisterActor("fuzz-host-producer"));
-    consumer.BindCheckers(&hb, &protocol,
-                          hb.RegisterActor("fuzz-nic-consumer"));
-#endif
+    std::optional<Oracles> oracles;
+    if (checked) {
+        oracles.emplace(sim);
+        dram.AttachChecker(&oracles->coherence);
+        producer.BindCheckers(&oracles->hb, &oracles->protocol,
+                              oracles->hb.RegisterActor(
+                                  "fuzz-host-producer"));
+        consumer.BindCheckers(&oracles->hb, &oracles->protocol,
+                              oracles->hb.RegisterActor(
+                                  "fuzz-nic-consumer"));
+    }
 
     bool producer_done = false;
-    std::uint64_t received = 0;
+    RunOutcome outcome;
 
     sim.Spawn([](Simulator& s, HostProducer& p, std::uint64_t sd,
                  bool& done) -> Task<> {
@@ -128,10 +174,9 @@ TEST_P(MmioFuzzTest, HostToNicRandomInterleavings)
     }(sim, producer, seed, producer_done));
 
     sim.Spawn([](Simulator& s, NicConsumer& c, std::uint64_t sd,
-                 std::uint64_t& rcv, bool& done) -> Task<> {
+                 std::vector<std::uint64_t>& rcv) -> Task<> {
         Rng rng(sd ^ 0xABCDEF);
-        std::uint64_t expected = 0;
-        while (expected < total) {
+        while (rcv.size() < total) {
             if (rng.NextBernoulli(0.2)) {
                 // Occasional consumer stall exercises flow control.
                 co_await s.Delay(rng.NextBounded(5000) + 100);
@@ -141,35 +186,27 @@ TEST_P(MmioFuzzTest, HostToNicRandomInterleavings)
                 co_await s.Delay(97);
                 continue;
             }
-            CO_ASSERT(CheckMsg(*message) == expected);
-            ++expected;
-            ++rcv;
+            const std::uint64_t seq = CheckMsg(*message);
+            CO_ASSERT(seq == rcv.size());
+            rcv.push_back(seq);
         }
-        (void)done;
-    }(sim, consumer, seed, received, producer_done));
+    }(sim, consumer, seed, outcome.delivered));
 
     sim.RunFor(1'000'000'000ull);  // plenty; ends when drained
-    EXPECT_EQ(received, total) << "messages lost or duplicated";
     EXPECT_TRUE(producer_done);
-#ifdef WAVE_CHECK_ENABLED
-    for (const auto& v : protocol.Violations()) {
-        ADD_FAILURE() << v.Describe();
-    }
-    for (const auto& race : hb.Races()) {
-        ADD_FAILURE() << race.Describe();
-    }
-    EXPECT_EQ(protocol.Stats().stream_recvs, total);
-#endif
+    if (oracles) oracles->ExpectClean(total);
+    outcome.event_hash = sim.EventHash();
+    return outcome;
 }
 
-TEST_P(MmioFuzzTest, NicToHostWithRandomFlushPrefetchMix)
+RunOutcome
+RunNicToHost(std::uint64_t seed, std::size_t capacity, bool checked)
 {
-    const auto [seed, capacity] = GetParam();
     const std::size_t total = 300;
 
     Simulator sim;
     NicDram dram(sim, PcieConfig{}, 1 << 20);
-    QueueConfig qc{.capacity = static_cast<std::size_t>(capacity),
+    QueueConfig qc{.capacity = capacity,
                    .payload_size = 48,
                    .sync_interval = 2};
     MmioQueue queue(dram, 0, qc);
@@ -177,16 +214,19 @@ TEST_P(MmioFuzzTest, NicToHostWithRandomFlushPrefetchMix)
     HostConsumer consumer(queue, PteType::kWriteThrough,
                           PteType::kWriteCombining);
 
-#ifdef WAVE_CHECK_ENABLED
-    check::ProtocolChecker protocol(sim);
-    check::HbRaceDetector hb(sim);
-    producer.BindCheckers(&hb, &protocol,
-                          hb.RegisterActor("fuzz-nic-producer"));
-    consumer.BindCheckers(&hb, &protocol,
-                          hb.RegisterActor("fuzz-host-consumer"));
-#endif
+    std::optional<Oracles> oracles;
+    if (checked) {
+        oracles.emplace(sim);
+        dram.AttachChecker(&oracles->coherence);
+        producer.BindCheckers(&oracles->hb, &oracles->protocol,
+                              oracles->hb.RegisterActor(
+                                  "fuzz-nic-producer"));
+        consumer.BindCheckers(&oracles->hb, &oracles->protocol,
+                              oracles->hb.RegisterActor(
+                                  "fuzz-host-consumer"));
+    }
 
-    std::uint64_t received = 0;
+    RunOutcome outcome;
 
     sim.Spawn([](Simulator& s, NicProducer& p, std::uint64_t sd) -> Task<> {
         Rng rng(sd);
@@ -202,10 +242,9 @@ TEST_P(MmioFuzzTest, NicToHostWithRandomFlushPrefetchMix)
     }(sim, producer, seed));
 
     sim.Spawn([](Simulator& s, HostConsumer& c, std::uint64_t sd,
-                 std::uint64_t& rcv) -> Task<> {
+                 std::vector<std::uint64_t>& rcv) -> Task<> {
         Rng rng(sd ^ 0x5555);
-        std::uint64_t expected = 0;
-        while (expected < total) {
+        while (rcv.size() < total) {
             // Mix of the host's three read strategies.
             const int strategy = static_cast<int>(rng.NextBounded(3));
             std::optional<Bytes> message;
@@ -224,24 +263,43 @@ TEST_P(MmioFuzzTest, NicToHostWithRandomFlushPrefetchMix)
                 co_await s.Delay(433);
                 continue;
             }
-            CO_ASSERT(CheckMsg(*message) == expected);
-            ++expected;
-            ++rcv;
+            const std::uint64_t seq = CheckMsg(*message);
+            CO_ASSERT(seq == rcv.size());
+            rcv.push_back(seq);
         }
-    }(sim, consumer, seed, received));
+    }(sim, consumer, seed, outcome.delivered));
 
     sim.RunFor(2'000'000'000ull);
-    EXPECT_EQ(received, total)
-        << "flush/prefetch mix lost or reordered decisions";
-#ifdef WAVE_CHECK_ENABLED
-    for (const auto& v : protocol.Violations()) {
-        ADD_FAILURE() << v.Describe();
-    }
-    for (const auto& race : hb.Races()) {
-        ADD_FAILURE() << race.Describe();
-    }
-    EXPECT_EQ(protocol.Stats().stream_recvs, total);
-#endif
+    if (oracles) oracles->ExpectClean(total);
+    outcome.event_hash = sim.EventHash();
+    return outcome;
+}
+
+class MmioFuzzTest
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(MmioFuzzTest, HostToNicRandomInterleavings)
+{
+    const auto [seed, capacity] = GetParam();
+    ExpectCheckersOnlyObserve(
+        [&](bool checked) {
+            return RunHostToNic(static_cast<std::uint64_t>(seed),
+                                static_cast<std::size_t>(capacity),
+                                checked);
+        },
+        400);
+}
+
+TEST_P(MmioFuzzTest, NicToHostWithRandomFlushPrefetchMix)
+{
+    const auto [seed, capacity] = GetParam();
+    ExpectCheckersOnlyObserve(
+        [&](bool checked) {
+            return RunNicToHost(static_cast<std::uint64_t>(seed),
+                                static_cast<std::size_t>(capacity),
+                                checked);
+        },
+        300);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -249,11 +307,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 3, 4),
                        ::testing::Values(4, 16, 64)));
 
-class DmaFuzzTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(DmaFuzzTest, RandomBatchesSyncAndAsync)
+RunOutcome
+RunDma(std::uint64_t seed, bool checked)
 {
-    const std::uint64_t seed = static_cast<std::uint64_t>(GetParam());
     const std::size_t total = 500;
 
     Simulator sim;
@@ -263,12 +319,14 @@ TEST_P(DmaFuzzTest, RandomBatchesSyncAndAsync)
                                .payload_size = 48,
                                .sync_interval = 4});
 
-#ifdef WAVE_CHECK_ENABLED
-    check::ProtocolChecker protocol(sim);
-    queue.AttachProtocol(&protocol);
-#endif
+    std::optional<Oracles> oracles;
+    if (checked) {
+        oracles.emplace(sim);
+        dma.AttachChecker(&oracles->coherence);
+        queue.AttachProtocol(&oracles->protocol);
+    }
 
-    std::uint64_t received = 0;
+    RunOutcome outcome;
 
     sim.Spawn([](Simulator& s, DmaQueue& q, std::uint64_t sd) -> Task<> {
         Rng rng(sd);
@@ -287,29 +345,33 @@ TEST_P(DmaFuzzTest, RandomBatchesSyncAndAsync)
     }(sim, queue, seed));
 
     sim.Spawn([](Simulator& s, DmaQueue& q, std::uint64_t sd,
-                 std::uint64_t& rcv) -> Task<> {
+                 std::vector<std::uint64_t>& rcv) -> Task<> {
         Rng rng(sd ^ 0xF00D);
-        std::uint64_t expected = 0;
-        while (expected < total) {
+        while (rcv.size() < total) {
             auto message = co_await q.Poll();
             if (!message) {
                 co_await s.Delay(rng.NextBounded(2000) + 100);
                 continue;
             }
-            CO_ASSERT(CheckMsg(*message) == expected);
-            ++expected;
-            ++rcv;
+            const std::uint64_t seq = CheckMsg(*message);
+            CO_ASSERT(seq == rcv.size());
+            rcv.push_back(seq);
         }
-    }(sim, queue, seed, received));
+    }(sim, queue, seed, outcome.delivered));
 
     sim.RunFor(2'000'000'000ull);
-    EXPECT_EQ(received, total);
-#ifdef WAVE_CHECK_ENABLED
-    for (const auto& v : protocol.Violations()) {
-        ADD_FAILURE() << v.Describe();
-    }
-    EXPECT_EQ(protocol.Stats().stream_recvs, total);
-#endif
+    if (oracles) oracles->ExpectClean(total);
+    outcome.event_hash = sim.EventHash();
+    return outcome;
+}
+
+class DmaFuzzTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(DmaFuzzTest, RandomBatchesSyncAndAsync)
+{
+    const std::uint64_t seed = static_cast<std::uint64_t>(GetParam());
+    ExpectCheckersOnlyObserve(
+        [&](bool checked) { return RunDma(seed, checked); }, 500);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DmaFuzzTest,

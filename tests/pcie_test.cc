@@ -777,26 +777,21 @@ TEST(Mmio, NicLocalWriteLandsOnlyWhenItsDelayEnds)
         s.Schedule(c.nic_wb_access_ns - 1, [&] {
             probed = true;
             EXPECT_EQ(ReadU64(d.Backing(), 0), 0u);
-#ifdef WAVE_CHECK_ENABLED
             EXPECT_EQ(ch.Stats().writes, before.writes);
             EXPECT_EQ(ch.Stats().cache_drops, before.cache_drops);
-#endif
         });
         co_await n.Write(0, &value, sizeof(value));
         EXPECT_TRUE(probed);
         EXPECT_EQ(s.Now() - t0, c.nic_wb_access_ns);
         EXPECT_EQ(ReadU64(d.Backing(), 0), 7u);
-#ifdef WAVE_CHECK_ENABLED
         EXPECT_EQ(ch.Stats().writes, before.writes + 1);
         EXPECT_EQ(ch.Stats().cache_drops, before.cache_drops + 1);
-#endif
         co_await h.Read(0, &seen, sizeof(seen));
         EXPECT_EQ(seen, 7u);
     }(sim, host, nic, dram, checker, cfg));
     EXPECT_EQ(host.Stats().pcie_reads, 2u) << "the NIC store invalidated";
 }
 
-#ifdef WAVE_CHECK_ENABLED
 TEST(Mmio, NicLocalAccessReportsToTheCoherenceChecker)
 {
     // Reads pass tolerate_stale through: an optimistic poll of a line
@@ -841,7 +836,6 @@ TEST(Mmio, NicLocalAccessReportsToTheCoherenceChecker)
                      "NicLocalMapping::Write");
     }(wc, wt, nic, checker));
 }
-#endif
 
 }  // namespace
 }  // namespace wave::pcie

@@ -50,7 +50,8 @@ const char* const kCheckerCallRe =
     "OnTxnOutcomeObserved|OnStreamSend|OnStreamRecv|"
     "OnTaskState|OnCommitDecision|OnWatchdogArmed|"
     "OnWatchdogExpired|OnWatchdogFed|"
-    "OnAccess|OnRelease|OnAcquire|RegisterActor|AllowUnordered|"
+    "OnAccess|OnRelease|OnAcquire|OnConsume|RegisterActor|"
+    "AllowUnordered|"
     "AttachChecker|AttachCheckers|AttachProtocol|AttachHb|"
     "BindCheckers"
     R"()\s*\()";
@@ -140,7 +141,6 @@ FileRules::Analyze(const SourceFile& f, Scope scope)
     CheckIncludes(f);
     CheckSymbols(f);
     CheckActors(f, in_check);
-    CheckHooks(f, in_check);
     CheckStaleReasons(f);
     CheckWallClock(f);
     if (!time_bridge) CheckTimeNarrowing(f);
@@ -232,51 +232,6 @@ FileRules::CheckActors(const SourceFile& f, bool in_check)
                 "RegisterActor without a domain: start the label "
                 "with \"host-\"/\"nic-\" or add a `// wave-domain: "
                 "host|nic` comment on this or the previous line");
-        }
-    }
-}
-
-void
-FileRules::CheckHooks(const SourceFile& f, bool in_check)
-{
-    if (in_check) return;
-    static const std::regex kCallRe(kCheckerCallRe);
-    int hook_balance = 0;     // open parens of WAVE_CHECK_HOOK(...)
-    std::vector<bool> gated;  // #if nesting: WAVE_CHECK_ENABLED?
-    for (std::size_t i = 0; i < f.lines.size(); ++i) {
-        const std::string& raw = f.raw[i];
-        const std::string& code = f.lines[i].code;
-        static const std::regex kIfRe(R"(^\s*#\s*if)");
-        static const std::regex kElRe(R"(^\s*#\s*el)");
-        static const std::regex kEndifRe(R"(^\s*#\s*endif)");
-        if (std::regex_search(raw, kIfRe)) {
-            gated.push_back(raw.find("WAVE_CHECK_ENABLED") !=
-                            std::string::npos);
-        } else if (std::regex_search(raw, kElRe)) {
-            if (!gated.empty()) {
-                gated.back() = raw.find("WAVE_CHECK_ENABLED") !=
-                               std::string::npos;
-            }
-        } else if (std::regex_search(raw, kEndifRe)) {
-            if (!gated.empty()) gated.pop_back();
-        }
-        const bool in_gate = std::any_of(gated.begin(), gated.end(),
-                                         [](bool g) { return g; });
-
-        bool in_hook = hook_balance > 0;
-        const auto hook_pos = code.find("WAVE_CHECK_HOOK");
-        if (hook_pos != std::string::npos) {
-            in_hook = true;
-            hook_balance += ParenBalance(code.substr(hook_pos));
-        } else if (hook_balance > 0) {
-            hook_balance += ParenBalance(code);
-        }
-        if (hook_balance < 0) hook_balance = 0;
-
-        if (!in_hook && !in_gate && std::regex_search(code, kCallRe)) {
-            Add(f.path, static_cast<int>(i + 1), "W005",
-                "checker call outside WAVE_CHECK_HOOK(...) or an "
-                "#ifdef WAVE_CHECK_ENABLED block");
         }
     }
 }
@@ -519,15 +474,13 @@ FileRules::CheckEndpointCoverage(const SourceFile& f)
 {
     for (const char* endpoint : kEndpointFiles) {
         if (!PathEndsWith(f.path, endpoint)) continue;
+        static const std::regex kCallRe(kCheckerCallRe);
         for (const auto& line : f.lines) {
-            if (line.code.find("WAVE_CHECK_HOOK") !=
-                std::string::npos) {
-                return;
-            }
+            if (std::regex_search(line.code, kCallRe)) return;
         }
         Add(f.path, 1, "W005",
-            "queue/txn endpoint file carries no WAVE_CHECK_HOOK "
-            "instrumentation (checker blind spot)");
+            "queue/txn endpoint file makes no wave::check call "
+            "(checker blind spot)");
     }
 }
 

@@ -43,7 +43,6 @@ class FileRules {
     void CheckIncludes(const SourceFile& f);
     void CheckSymbols(const SourceFile& f);
     void CheckActors(const SourceFile& f, bool in_check);
-    void CheckHooks(const SourceFile& f, bool in_check);
     void CheckStaleReasons(const SourceFile& f);
     void CheckWallClock(const SourceFile& f);
     void CheckTimeNarrowing(const SourceFile& f);

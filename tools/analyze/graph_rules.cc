@@ -50,9 +50,11 @@ GraphRules::CheckTransitiveHot(std::vector<Finding>& out)
         adj[calls[i].caller].push_back(i);
     }
 
+    // Calls into src/check/ are observer-side (the checkers only read
+    // the clock), so neither the site nor any path through it counts.
     std::set<std::string> reported;
     for (const CallEdge& site : calls) {
-        if (!site.hot || site.hook_gated) continue;
+        if (!site.hot || site.checker_callee) continue;
 
         // BFS from the callee; the shortest explain path to each
         // faulty sink is reconstructed through `parent`.
@@ -95,7 +97,7 @@ GraphRules::CheckTransitiveHot(std::vector<Finding>& out)
             if (it == adj.end()) continue;
             for (std::size_t e : it->second) {
                 const CallEdge& next = calls[e];
-                if (next.hook_gated) continue;
+                if (next.checker_callee) continue;
                 if (parent.count(next.callee)) continue;
                 parent[next.callee] = at;
                 queue.push_back(next.callee);
@@ -144,8 +146,8 @@ GraphRules::CheckMutableGlobals(std::vector<Finding>& out)
         if (s.kind == SymKind::kFunction || s.is_const) continue;
         const SourceFile* f = FileOf(s.file);
         if (f == nullptr) continue;
-        // Checker shadow state is observer-side by construction; its
-        // census lives with the W005 hook-coverage rules.
+        // Checker shadow state is observer-side by construction: no
+        // model code reads it.
         if (PathHas(s.file, "check/")) continue;
         if (f->has_shared) continue;
         const char* what = s.kind == SymKind::kGlobal
@@ -180,7 +182,7 @@ GraphRules::CheckSeamBypass(std::vector<Finding>& out)
     const auto& symbols = graph_.symbols();
     std::set<std::string> reported;
     for (const CallEdge& e : graph_.calls()) {
-        if (e.hook_gated) continue;
+        if (e.checker_callee) continue;  // checkers observe both domains
         const Symbol& callee =
             symbols[static_cast<std::size_t>(e.callee)];
         const SourceFile* caller_file = FileOf(e.file);

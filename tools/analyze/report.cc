@@ -265,10 +265,11 @@ EmitJson(const ReportInput& in)
         std::printf(
             "%s\n      {\"caller\": %d, \"callee\": %d, "
             "\"file\": \"%s\", \"line\": %d, \"hot\": %s, "
-            "\"hook_gated\": %s}",
+            "\"checker_callee\": %s}",
             i == 0 ? "" : ",", e.caller, e.callee,
             JsonEscape(e.file).c_str(), e.line,
-            e.hot ? "true" : "false", e.hook_gated ? "true" : "false");
+            e.hot ? "true" : "false",
+            e.checker_callee ? "true" : "false");
     }
     std::printf("\n    ],\n    \"refs\": [");
     const auto& refs = g.refs();

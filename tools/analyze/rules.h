@@ -39,7 +39,7 @@ inline constexpr Rule kRules[] = {
     {"W004", "actor-domain",
      "RegisterActor call sites declare the actor's domain"},
     {"W005", "hook-coverage",
-     "checker calls gated by WAVE_CHECK_HOOK; endpoints instrumented"},
+     "queue/txn endpoint files call into wave::check"},
     {"W006", "stale-reason",
      "tolerate_stale != false carries a same-line justification"},
     {"W007", "wall-clock-rng",

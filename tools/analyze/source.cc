@@ -207,17 +207,6 @@ LoadFile(const std::filesystem::path& fullpath,
 }
 
 int
-ParenBalance(const std::string& s)
-{
-    int n = 0;
-    for (char c : s) {
-        if (c == '(') ++n;
-        if (c == ')') --n;
-    }
-    return n;
-}
-
-int
 BraceBalance(const std::string& s)
 {
     int n = 0;

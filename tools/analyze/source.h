@@ -116,9 +116,6 @@ std::optional<SourceFile> LoadFile(const std::filesystem::path& fullpath,
 
 // --- shared text helpers ----------------------------------------------
 
-/** Net '(' minus ')' on the code channel of a string. */
-int ParenBalance(const std::string& s);
-
 /** Net '{' minus '}' on the code channel of a string. */
 int BraceBalance(const std::string& s);
 

@@ -570,38 +570,9 @@ SymbolGraph::ResolveFile(const SourceFile& f)
     static const std::regex kIdentRe(
         R"(((?:[A-Za-z_]\w*::)*[A-Za-z_]\w*))");
 
-    int hook_balance = 0;
-    std::vector<bool> gated;
     for (std::size_t i = 0; i < f.lines.size(); ++i) {
-        const std::string& raw = f.raw[i];
         const int line_no = static_cast<int>(i + 1);
         std::string code = f.lines[i].code;
-
-        static const std::regex kIfRe(R"(^\s*#\s*if)");
-        static const std::regex kElRe(R"(^\s*#\s*el)");
-        static const std::regex kEndifRe(R"(^\s*#\s*endif)");
-        if (std::regex_search(raw, kIfRe)) {
-            gated.push_back(raw.find("WAVE_CHECK_ENABLED") !=
-                            std::string::npos);
-        } else if (std::regex_search(raw, kElRe)) {
-            if (!gated.empty()) {
-                gated.back() = raw.find("WAVE_CHECK_ENABLED") !=
-                               std::string::npos;
-            }
-        } else if (std::regex_search(raw, kEndifRe)) {
-            if (!gated.empty()) gated.pop_back();
-        }
-        const bool in_gate = std::any_of(gated.begin(), gated.end(),
-                                         [](bool g) { return g; });
-        bool in_hook = hook_balance > 0;
-        const auto hook_pos = code.find("WAVE_CHECK_HOOK");
-        if (hook_pos != std::string::npos) {
-            in_hook = true;
-            hook_balance += ParenBalance(code.substr(hook_pos));
-        } else if (hook_balance > 0) {
-            hook_balance += ParenBalance(code);
-        }
-        if (hook_balance < 0) hook_balance = 0;
 
         const int enclosing = EnclosingFunction(f.path, line_no);
         if (enclosing < 0) continue;
@@ -645,7 +616,9 @@ SymbolGraph::ResolveFile(const SourceFile& f)
             e.file = f.path;
             e.line = line_no;
             e.hot = f.IsHot(line_no);
-            e.hook_gated = in_hook || in_gate;
+            e.checker_callee = PathHas(
+                symbols_[static_cast<std::size_t>(callee)].file,
+                "src/check/");
             calls_.push_back(e);
         }
 

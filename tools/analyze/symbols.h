@@ -76,7 +76,7 @@ struct CallEdge {
     std::string file;    ///< call-site file
     int line = 0;        ///< 1-based call-site line
     bool hot = false;    ///< call site is inside a wave-hot region
-    bool hook_gated = false;  ///< inside WAVE_CHECK_HOOK(...) — opt-in
+    bool checker_callee = false;  ///< callee is defined under src/check/
 };
 
 /** One use of a namespace-scope variable from a function body. */
