@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstring>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -34,10 +35,10 @@ ToBytes(const T& value, std::size_t payload_size)
     return out;
 }
 
-/** Deserializes a struct from a queue payload. */
+/** Deserializes a struct from a queue payload (or a view of one). */
 template <typename T>
 T
-FromBytes(const std::vector<std::byte>& bytes)
+FromBytes(std::span<const std::byte> bytes)
 {
     static_assert(std::is_trivially_copyable_v<T>);
     WAVE_ASSERT(sizeof(T) <= bytes.size());

@@ -28,6 +28,7 @@
 
 #include <cstddef>
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 
 #include "pcie/config.h"
@@ -57,7 +58,8 @@ class RingLayout {
     explicit RingLayout(const QueueConfig& config)
         : config_(config),
           slot_size_(AlignUp(config.payload_size + kFlagSize,
-                             pcie::PcieConfig::kLineSize))
+                             pcie::PcieConfig::kLineSize)),
+          capacity_log2_(std::countr_zero(config.capacity))
     {
         WAVE_ASSERT(config.capacity > 0 &&
                         (config.capacity & (config.capacity - 1)) == 0,
@@ -110,11 +112,15 @@ class RingLayout {
                                         (config_.capacity - 1));
     }
 
-    /** Generation flag value that marks @p index valid. */
+    /**
+     * Generation flag value that marks @p index valid. Every flag poll
+     * asks, so the power-of-two capacity turns the lap divide into a
+     * shift.
+     */
     std::uint64_t
     GenerationOf(std::uint64_t index) const
     {
-        return index / config_.capacity + 1;
+        return (index >> capacity_log2_) + 1;
     }
 
     const QueueConfig& Config() const { return config_; }
@@ -128,6 +134,7 @@ class RingLayout {
 
     QueueConfig config_;
     std::size_t slot_size_;
+    int capacity_log2_;  ///< log2(capacity)
 };
 
 }  // namespace wave::channel

@@ -113,39 +113,36 @@ NicConsumer::NicConsumer(MmioQueue& queue, pcie::PteType local_type)
 {
 }
 
-// wave-lifetime(caller-awaits)
-sim::Task<>
-NicConsumer::MaybeSyncCounter()
+NicConsumer::FlagPoll::FlagPoll(NicConsumer& consumer)
+    : consumer_(consumer),
+      // The flag poll is the sanctioned optimistic read: host stores may
+      // still be parked in the WC buffer, in which case the generation
+      // simply does not match yet and we retry later.
+      read_(consumer.map_.Read(
+          consumer.queue_.FlagAddr(consumer.tail_), &consumer.flag_,
+          sizeof(consumer.flag_),
+          /*tolerate_stale=*/true))  // gen mismatch => retry
 {
-    if (tail_ - last_synced_ >= queue_.Layout().Config().sync_interval) {
-        co_await map_.Write(queue_.CounterAddr(), &tail_, sizeof(tail_));
-        // Publishing the counter releases every slot read so far: the
-        // producer may overwrite them only after acquiring this value.
-        if (hb_ != nullptr) {
-            hb_->OnRelease(actor_, &queue_, kCounterSyncTag);
-        }
-        last_synced_ = tail_;
-    }
+}
+
+bool
+NicConsumer::FlagPoll::await_resume() const
+{
+    read_.await_resume();
+    return consumer_.flag_ ==
+           consumer_.queue_.Layout().GenerationOf(consumer_.tail_);
 }
 
 // wave-lifetime(caller-awaits)
-sim::Task<bool>
-NicConsumer::PollInto(Bytes& out)
+sim::Task<>
+NicConsumer::Take(Bytes& out)
 {
     const auto& layout = queue_.Layout();
-    std::byte flag_raw[RingLayout::kFlagSize];
-    // The flag poll is the sanctioned optimistic read: host stores may
-    // still be parked in the WC buffer, in which case the generation
-    // simply does not match yet and we retry later.
-    co_await map_.Read(queue_.FlagAddr(tail_), flag_raw, sizeof(flag_raw),
-                       /*tolerate_stale=*/true);  // gen mismatch => retry
-    if (FromFlagBytes(flag_raw) != layout.GenerationOf(tail_)) {
-        co_return false;
-    }
+    WAVE_ASSERT(flag_ == layout.GenerationOf(tail_),
+                "Take() without a Ready() that found the slot ready");
     // Once the flag matched, the payload must have drained too (it is
     // written before the flag and fenced by the same sfence), so this
-    // read is checked strictly. A reused @p out keeps its capacity, so
-    // steady-state polling never touches the allocator.
+    // read is checked strictly.
     out.resize(layout.Config().payload_size);
     co_await map_.Read(queue_.PayloadAddr(tail_), out.data(), out.size());
     // The matching flag poll is the acquire half of the publication
@@ -162,7 +159,26 @@ NicConsumer::PollInto(Bytes& out)
                                 "NicConsumer::Poll");
     }
     ++tail_;
-    co_await MaybeSyncCounter();
+    if (tail_ - last_synced_ >= layout.Config().sync_interval) {
+        co_await map_.Write(queue_.CounterAddr(), &tail_, sizeof(tail_));
+        // Publishing the counter releases every slot read so far: the
+        // producer may overwrite them only after acquiring this value.
+        if (hb_ != nullptr) {
+            hb_->OnRelease(actor_, &queue_, kCounterSyncTag);
+        }
+        last_synced_ = tail_;
+    }
+}
+
+// wave-lifetime(caller-awaits)
+sim::Task<bool>
+NicConsumer::PollInto(Bytes& out)
+{
+    const bool ready = co_await Ready();
+    if (!ready) {
+        co_return false;
+    }
+    co_await Take(out);
     co_return true;
 }
 

@@ -21,6 +21,7 @@
 // wave-hot
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -151,6 +152,48 @@ class NicConsumer {
     /** @param local_type kUncacheable (baseline) or kWriteBack. */
     NicConsumer(MmioQueue& queue, pcie::PteType local_type);
 
+    /**
+     * Awaiter for Ready(): the NIC-local read of the next slot's
+     * generation flag, resuming with whether the slot holds a message.
+     * It builds no coroutine frame, so a poll that comes back empty
+     * costs the read's delay and nothing else.
+     */
+    class [[nodiscard]] FlagPoll {
+      public:
+        bool await_ready() const noexcept { return false; }
+        void
+        await_suspend(std::coroutine_handle<> h) const
+        {
+            read_.await_suspend(h);
+        }
+        bool await_resume() const;
+
+      private:
+        friend class NicConsumer;
+        explicit FlagPoll(NicConsumer& consumer);
+
+        NicConsumer& consumer_;
+        pcie::NicLocalMapping::ReadAccess read_;
+    };
+
+    /**
+     * The flag half of a poll. Every poll form below is this followed,
+     * only when it resumes true, by Take(). Await it in the expression
+     * that makes it (see pcie::NicLocalMapping), and bind the result to
+     * a local before testing it: GCC 12 lays out the frame of a
+     * coroutine that writes `if (!co_await Ready())` with its resume
+     * pointer at the wrong offset, and the first resume crashes.
+     */
+    FlagPoll Ready() { return FlagPoll(*this); }
+
+    /**
+     * The payload half of a poll: consumes the slot the last Ready()
+     * found ready into @p out, resized to the payload size. It runs the
+     * checker hooks and the lazy counter sync. A reused @p out keeps
+     * its capacity, so steady-state polling never touches the heap.
+     */
+    sim::Task<> Take(Bytes& out);
+
     /** Returns the next message if one is ready; nullopt otherwise. */
     sim::Task<std::optional<Bytes>> Poll();
 
@@ -183,12 +226,11 @@ class NicConsumer {
     sim::ActorId HbActor() const { return actor_; }
 
   private:
-    sim::Task<> MaybeSyncCounter();
-
     MmioQueue& queue_;
     pcie::NicLocalMapping map_;
     std::uint64_t tail_ = 0;  ///< next absolute index to read
     std::uint64_t last_synced_ = 0;
+    std::uint64_t flag_ = 0;  ///< the last flag Ready() read
     check::HbRaceDetector* hb_ = nullptr;
     check::ProtocolChecker* protocol_ = nullptr;
     sim::ActorId actor_ = sim::kNoActor;

@@ -39,7 +39,12 @@ GhostAgent::Run(AgentContext& ctx)
         ++stats_.iterations;
         const sim::TimeNs iter_start = ctx.Sim().Now();
         co_await HandleMessages(ctx);
-        co_await HandleOutcomes(ctx);
+        // One sweep drains every core's outcome queue; the records are
+        // then handled in poll order without another suspension.
+        swept_.clear();
+        co_await transport_.AgentSweepOutcomes(ctx.Sim(), config_.cores,
+                                               kOutcomeBatch, swept_);
+        HandleOutcomes();
         co_await IssueDecisions(ctx);
         if (config_.prestage) {
             co_await IssuePrestages(ctx);
@@ -109,68 +114,65 @@ GhostAgent::HandleMessages(AgentContext& ctx)
     }
 }
 
-// wave-lifetime(caller-awaits)
-sim::Task<>
-GhostAgent::HandleOutcomes(AgentContext& ctx)
+void
+GhostAgent::HandleOutcomes()
 {
-    for (int core : config_.cores) {
-        auto outcomes = co_await transport_.AgentPollOutcomes(core, 8);
-        for (const api::TxnOutcome& outcome : outcomes) {
-            CoreModel& model = Model(core);
-            // Find the matching in-flight record. Outcomes arrive in
-            // commit order, but adoption in HandleMessages may already
-            // have popped the front, so search by id.
-            GhostDecision decision{};
-            bool found = false;
-            for (auto it = model.inflight.begin();
-                 it != model.inflight.end(); ++it) {
-                if (it->txn_id == outcome.txn_id) {
-                    decision = it->decision;
-                    model.inflight.erase(it);
-                    found = true;
-                    break;
-                }
+    for (const SweptOutcome& swept : swept_) {
+        const api::TxnOutcome& outcome = swept.outcome;
+        CoreModel& model = Model(swept.core);
+        // Find the matching in-flight record. Outcomes arrive in
+        // commit order, but adoption in HandleMessages may already
+        // have popped the front, so search by id.
+        GhostDecision decision{};
+        bool found = false;
+        for (auto it = model.inflight.begin();
+             it != model.inflight.end(); ++it) {
+            if (it->txn_id == outcome.txn_id) {
+                decision = it->decision;
+                model.inflight.erase(it);
+                found = true;
+                break;
             }
-            bool reactive = false;
-            if (!found) {
-                const auto it = reactive_.find(outcome.txn_id);
-                if (it != reactive_.end()) {
-                    decision = it->second;
-                    reactive_.erase(it);
-                    reactive = true;
-                }
+        }
+        bool reactive = false;
+        if (!found) {
+            const auto it = reactive_.find(outcome.txn_id);
+            if (it != reactive_.end()) {
+                decision = it->second;
+                reactive_.erase(it);
+                reactive = true;
             }
-            if (outcome.status == api::TxnStatus::kCommitted) {
-                if (found) {
-                    model.running = decision.tid;
-                    model.running_since = ctx.Sim().Now();
-                }
-                continue;  // reactive commits were adopted at issue time
+        }
+        if (outcome.status == api::TxnStatus::kCommitted) {
+            if (found) {
+                model.running = decision.tid;
+                model.running_since = swept.seen_at;
             }
-            ++stats_.failed_commits;
-            if (!found && !reactive) {
-                // No record at all (e.g. a duplicate outcome): repair
-                // the model conservatively.
-                if (model.running != kNoThread) {
-                    model.running = kNoThread;
-                }
-                model.needs_decision = true;
-                continue;
-            }
-            // kFailedStale means the thread stopped being runnable
-            // concurrently (blocked/exited); its eventual wakeup message
-            // re-announces it, so requeueing here would duplicate it.
-            // kFailedRejected means the host refused the commit with the
-            // thread still runnable — no wakeup will ever come, so the
-            // agent must requeue or the thread is stranded.
-            if (!reactive || outcome.status == api::TxnStatus::kFailedRejected) {
-                policy_->OnDecisionFailed(decision);
-            }
-            if (model.running == decision.tid) {
+            continue;  // reactive commits were adopted at issue time
+        }
+        ++stats_.failed_commits;
+        if (!found && !reactive) {
+            // No record at all (e.g. a duplicate outcome): repair
+            // the model conservatively.
+            if (model.running != kNoThread) {
                 model.running = kNoThread;
             }
             model.needs_decision = true;
+            continue;
         }
+        // kFailedStale means the thread stopped being runnable
+        // concurrently (blocked/exited); its eventual wakeup message
+        // re-announces it, so requeueing here would duplicate it.
+        // kFailedRejected means the host refused the commit with the
+        // thread still runnable — no wakeup will ever come, so the
+        // agent must requeue or the thread is stranded.
+        if (!reactive || outcome.status == api::TxnStatus::kFailedRejected) {
+            policy_->OnDecisionFailed(decision);
+        }
+        if (model.running == decision.tid) {
+            model.running = kNoThread;
+        }
+        model.needs_decision = true;
     }
 }
 

@@ -132,8 +132,12 @@ class GhostAgent : public Agent {
         std::deque<Inflight> inflight;
     };
 
+    /** Outcome records drained per core per iteration. */
+    static constexpr std::size_t kOutcomeBatch = 8;
+
     sim::Task<> HandleMessages(AgentContext& ctx);
-    sim::Task<> HandleOutcomes(AgentContext& ctx);
+    /** Applies this iteration's swept_ outcomes to the core model. */
+    void HandleOutcomes();
     sim::Task<> IssueDecisions(AgentContext& ctx);
     sim::Task<> IssuePrestages(AgentContext& ctx);
     sim::Task<> IssuePreemptions(AgentContext& ctx);
@@ -149,6 +153,8 @@ class GhostAgent : public Agent {
     AgentStats stats_;
     stats::Histogram iter_latency_;
     std::vector<CoreModel> cores_;  ///< indexed by host core id
+    /** This iteration's outcome sweep; keeps its capacity. */
+    std::vector<SweptOutcome> swept_;
 
     /**
      * Reactive (immediately-adopted) commits in flight, by txn id. In

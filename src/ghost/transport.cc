@@ -27,7 +27,35 @@ DecodeMessage(const api::Bytes& bytes)
     return channel::FromBytes<GhostMessage>(bytes);
 }
 
+/** Stamps @p out's records from index @p first on with @p seen_at. */
+void
+StampSeen(std::vector<SweptOutcome>& out, std::size_t first,
+          sim::TimeNs seen_at)
+{
+    for (std::size_t i = first; i < out.size(); ++i) {
+        out[i].seen_at = seen_at;
+    }
+}
+
 }  // namespace
+
+// --- SchedTransport ---
+
+// wave-lifetime(caller-awaits)
+sim::Task<>
+SchedTransport::AgentSweepOutcomes(const sim::Simulator& clock,
+                                   const std::vector<int>& cores,
+                                   std::size_t max,
+                                   std::vector<SweptOutcome>& out)
+{
+    for (int core : cores) {
+        const auto outcomes = co_await AgentPollOutcomes(core, max);
+        const sim::TimeNs seen_at = clock.Now();
+        for (const api::TxnOutcome& outcome : outcomes) {
+            out.push_back(SweptOutcome{core, outcome, seen_at});
+        }
+    }
+}
 
 // --- WaveSchedTransport ---
 
@@ -157,6 +185,7 @@ WaveSchedTransport::HostPollDecision(int core, bool flush_first)
     if (!txn) co_return std::nullopt;
     PendingDecision out;
     out.txn_id = txn->id;
+    // Decoded at once: the payload views the endpoint's slot buffer.
     out.decision = channel::FromBytes<GhostDecision>(txn->payload);
     co_return out;
 }
@@ -198,8 +227,10 @@ WaveSchedTransport::AgentPollMessages(std::size_t max)
 {
     std::vector<GhostMessage> out;
     while (out.size() < max) {
+        const bool ready = co_await messages_.nic->Ready();
+        if (!ready) break;
         // Each message is decoded before the next poll reuses the buffer.
-        if (!co_await messages_.nic->PollInto(message_buf_)) break;
+        co_await messages_.nic->Take(message_buf_);
         // Reserved on the first message, so an empty poll allocates
         // nothing.
         if (out.empty()) out.reserve(max);
@@ -225,6 +256,28 @@ sim::Task<std::vector<api::TxnOutcome>>
 WaveSchedTransport::AgentPollOutcomes(int core, std::size_t max)
 {
     return For(core).nic_txn->PollTxnsOutcomes(max);
+}
+
+// wave-lifetime(caller-awaits)
+sim::Task<>
+WaveSchedTransport::AgentSweepOutcomes(const sim::Simulator& clock,
+                                       const std::vector<int>& cores,
+                                       std::size_t max,
+                                       std::vector<SweptOutcome>& out)
+{
+    // NicTxnEndpoint::PollTxnsOutcomes per core, inlined so an empty
+    // poll is the flag awaiter alone.
+    for (int core : cores) {
+        NicTxnEndpoint& txn = *For(core).nic_txn;
+        const std::size_t first = out.size();
+        while (out.size() - first < max) {
+            const bool ready = co_await txn.OutcomeReady();
+            if (!ready) break;
+            const api::TxnOutcome outcome = co_await txn.TakeOutcome();
+            out.push_back(SweptOutcome{core, outcome, {}});
+        }
+        StampSeen(out, first, clock.Now());
+    }
 }
 
 sim::Task<>
@@ -324,11 +377,14 @@ ShmSchedTransport::HostSendMessage(const GhostMessage& message)
 sim::Task<std::optional<PendingDecision>>
 ShmSchedTransport::HostPollDecision(int core, bool /*flush_first*/)
 {
-    auto bytes = co_await For(core).decisions->Poll();
-    if (!bytes) co_return std::nullopt;
+    ShmQueue& decisions = *For(core).decisions;
+    const bool ready = co_await decisions.Ready();
+    if (!ready) co_return std::nullopt;
+    std::vector<std::byte> bytes;
+    co_await decisions.Take(bytes);
     PendingDecision out;
-    std::memcpy(&out.txn_id, bytes->data(), sizeof(out.txn_id));
-    std::memcpy(&out.decision, bytes->data() + sizeof(api::TxnId),
+    std::memcpy(&out.txn_id, bytes.data(), sizeof(out.txn_id));
+    std::memcpy(&out.decision, bytes.data() + sizeof(api::TxnId),
                 sizeof(out.decision));
     if (protocol_ != nullptr) {
         protocol_->OnTxnDelivered(For(core).decisions.get(),
@@ -384,9 +440,14 @@ ShmSchedTransport::AgentPollMessages(std::size_t max)
 {
     std::vector<GhostMessage> out;
     while (out.size() < max) {
-        auto bytes = co_await messages_.Poll();
-        if (!bytes) break;
-        out.push_back(DecodeMessage(*bytes));
+        const bool ready = co_await messages_.Ready();
+        if (!ready) break;
+        // Each message is decoded before the next poll reuses the buffer.
+        co_await messages_.Take(record_buf_);
+        // Reserved on the first message, so an empty poll allocates
+        // nothing.
+        if (out.empty()) out.reserve(max);
+        out.push_back(DecodeMessage(record_buf_));
     }
     co_return out;
 }
@@ -431,6 +492,24 @@ ShmSchedTransport::AgentCommit(int core, bool kick)
     co_return sent;
 }
 
+api::TxnOutcome
+ShmSchedTransport::ObserveOutcome(PerCore& pc, const api::Bytes& record)
+{
+    api::TxnOutcome outcome;
+    std::memcpy(&outcome.txn_id, record.data(), sizeof(outcome.txn_id));
+    std::memcpy(&outcome.status, record.data() + sizeof(api::TxnId),
+                sizeof(outcome.status));
+    if (protocol_ != nullptr) {
+        protocol_->OnTxnOutcomeObserved(
+            pc.decisions.get(), outcome.txn_id, check::Domain::kHost,
+            "ShmSchedTransport::AgentPollOutcomes");
+    }
+    return outcome;
+}
+
+// The polls below await ShmQueue::Ready() and then Take(), so an empty
+// poll builds no frame; each loop has the Wave binding's shape.
+
 // wave-lifetime(caller-awaits)
 sim::Task<std::vector<api::TxnOutcome>>
 ShmSchedTransport::AgentPollOutcomes(int core, std::size_t max)
@@ -438,22 +517,33 @@ ShmSchedTransport::AgentPollOutcomes(int core, std::size_t max)
     std::vector<api::TxnOutcome> out;
     PerCore& pc = For(core);
     while (out.size() < max) {
-        auto bytes = co_await pc.outcomes->Poll();
-        if (!bytes) break;
-        api::TxnOutcome outcome;
-        std::memcpy(&outcome.txn_id, bytes->data(),
-                    sizeof(outcome.txn_id));
-        std::memcpy(&outcome.status, bytes->data() + sizeof(api::TxnId),
-                    sizeof(outcome.status));
-        if (protocol_ != nullptr) {
-            protocol_->OnTxnOutcomeObserved(
-                pc.decisions.get(), outcome.txn_id,
-                check::Domain::kHost,
-                "ShmSchedTransport::AgentPollOutcomes");
-        }
-        out.push_back(outcome);
+        const bool ready = co_await pc.outcomes->Ready();
+        if (!ready) break;
+        co_await pc.outcomes->Take(record_buf_);
+        out.push_back(ObserveOutcome(pc, record_buf_));
     }
     co_return out;
+}
+
+// wave-lifetime(caller-awaits)
+sim::Task<>
+ShmSchedTransport::AgentSweepOutcomes(const sim::Simulator& clock,
+                                      const std::vector<int>& cores,
+                                      std::size_t max,
+                                      std::vector<SweptOutcome>& out)
+{
+    for (int core : cores) {
+        PerCore& pc = For(core);
+        const std::size_t first = out.size();
+        while (out.size() - first < max) {
+            const bool ready = co_await pc.outcomes->Ready();
+            if (!ready) break;
+            co_await pc.outcomes->Take(record_buf_);
+            out.push_back(
+                SweptOutcome{core, ObserveOutcome(pc, record_buf_), {}});
+        }
+        StampSeen(out, first, clock.Now());
+    }
 }
 
 // wave-lifetime(caller-awaits)

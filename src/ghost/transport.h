@@ -14,6 +14,24 @@
  *
  * Every experiment's "On-Host vs Wave" comparison swaps this one object
  * and nothing else, exactly as the paper swaps deployments.
+ *
+ * The outcome sweep. The agent drains every core's outcome queue once
+ * per loop iteration with one AgentSweepOutcomes() call, and most of
+ * those polls come back empty. The sweep contract:
+ *
+ *   - it polls the cores in the order given, each exactly as
+ *     AgentPollOutcomes(core, max) would: up to @p max records, then a
+ *     trailing empty poll unless @p max records were taken;
+ *   - it appends one SweptOutcome per record, in poll order;
+ *   - a record's seen_at is the simulated time at which its core's
+ *     polling finished (after that trailing poll), which is when the
+ *     per-core loop the sweep replaces would have looked at it.
+ *
+ * The base-class default is built from the per-core AgentPollOutcomes,
+ * so a decorator that overrides only the pure virtuals (a tracing or
+ * timing wrapper) sees, and forwards, every per-core poll. The two
+ * bindings override the sweep so an empty poll costs its simulated
+ * read and no coroutine frame.
  */
 // wave-domain: host
 #pragma once
@@ -26,6 +44,7 @@
 #include "ghost/interrupt.h"
 #include "sim/sync.h"
 #include "ghost/messages.h"
+#include "sim/simulator.h"
 #include "sim/task.h"
 #include "wave/api.h"
 #include "wave/runtime.h"
@@ -38,6 +57,13 @@ namespace wave::ghost {
 struct PendingDecision {
     api::TxnId txn_id;
     GhostDecision decision;
+};
+
+/** One record of an outcome sweep (see the file comment). */
+struct SweptOutcome {
+    int core;
+    api::TxnOutcome outcome;
+    sim::TimeNs seen_at;  ///< when the sweep finished polling @c core
 };
 
 /** Abstract host<->agent scheduling transport. */
@@ -87,6 +113,17 @@ class SchedTransport {
         int core, std::size_t max) = 0;
 
     /**
+     * Drains up to @p max outcomes from each of @p cores, in order,
+     * appending them to @p out (see the file comment for the contract).
+     * @p clock stamps seen_at; pass the agent's simulator. The default
+     * calls AgentPollOutcomes once per core.
+     */
+    virtual sim::Task<> AgentSweepOutcomes(const sim::Simulator& clock,
+                                           const std::vector<int>& cores,
+                                           std::size_t max,
+                                           std::vector<SweptOutcome>& out);
+
+    /**
      * Kicks @p core without committing anything — used to close the
      * race where a prestaged decision lands concurrently with the host
      * going idle. Spurious kicks cost one interrupt receive.
@@ -123,6 +160,10 @@ class WaveSchedTransport : public SchedTransport {
     sim::Task<std::size_t> AgentCommit(int core, bool kick) override;
     sim::Task<std::vector<api::TxnOutcome>> AgentPollOutcomes(
         int core, std::size_t max) override;
+    sim::Task<> AgentSweepOutcomes(const sim::Simulator& clock,
+                                   const std::vector<int>& cores,
+                                   std::size_t max,
+                                   std::vector<SweptOutcome>& out) override;
     sim::Task<> AgentKick(int core) override;
     int CoreCount() const override { return served_cores_; }
 
@@ -187,6 +228,10 @@ class ShmSchedTransport : public SchedTransport {
     sim::Task<std::size_t> AgentCommit(int core, bool kick) override;
     sim::Task<std::vector<api::TxnOutcome>> AgentPollOutcomes(
         int core, std::size_t max) override;
+    sim::Task<> AgentSweepOutcomes(const sim::Simulator& clock,
+                                   const std::vector<int>& cores,
+                                   std::size_t max,
+                                   std::vector<SweptOutcome>& out) override;
     sim::Task<> AgentKick(int core) override;
     int CoreCount() const override { return served_cores_; }
 
@@ -201,8 +246,13 @@ class ShmSchedTransport : public SchedTransport {
 
     PerCore& For(int core);
 
+    /** Decodes a dequeued outcome record and reports it observed. */
+    api::TxnOutcome ObserveOutcome(PerCore& pc, const api::Bytes& record);
+
     sim::Simulator& sim_;
     ShmQueue messages_;
+    /** Reused entry buffer for the agent's polls (the one agent). */
+    api::Bytes record_buf_;
     /** Indexed by core id; null for cores this transport does not serve. */
     std::vector<std::unique_ptr<PerCore>> percore_;
     int served_cores_ = 0;

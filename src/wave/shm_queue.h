@@ -14,6 +14,7 @@
 // wave-hot
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -82,16 +83,62 @@ class ShmQueue {
         co_return sent;
     }
 
-    /** Dequeues the next entry if present. */
-    sim::Task<std::optional<std::vector<std::byte>>>
-    Poll()
-    {
-        if (items_.Empty()) {
-            co_await sim_.Delay(costs_.empty_poll_ns);
-            co_return std::nullopt;
+    /**
+     * Awaiter for Ready(): resumes with whether an entry is present. An
+     * empty queue costs the empty-flag poll's delay; a non-empty one
+     * resumes at once (Take() then pays the entry read). It builds no
+     * coroutine frame.
+     *
+     * "At once" is await_suspend() returning false, not await_ready()
+     * returning true: GCC 12 at -O2 miscompiled the agent's poll loops
+     * when this awaiter skipped the suspension from await_ready(), and a
+     * loop that stopped at its batch limit returned a vector with stale
+     * bounds (TransportTest.BatchLimitsKeepEveryRecordIntact pins it).
+     */
+    class [[nodiscard]] ReadyPoll {
+      public:
+        bool await_ready() const noexcept { return false; }
+        bool
+        await_suspend(std::coroutine_handle<> h) const
+        {
+            if (ready_) return false;
+            queue_.sim_.Schedule(queue_.costs_.empty_poll_ns,
+                                 [h] { h.resume(); });
+            return true;
         }
+        bool await_resume() const noexcept { return ready_; }
+
+      private:
+        friend class ShmQueue;
+        explicit ReadyPoll(ShmQueue& queue)
+            : queue_(queue), ready_(!queue.items_.Empty())
+        {
+        }
+
+        ShmQueue& queue_;
+        bool ready_;
+    };
+
+    /**
+     * The empty half of a poll; Poll() starts with it. A caller that
+     * awaits it and then Take() pays for an empty poll without building
+     * a frame. Bind the result to a local before testing it (see
+     * channel::NicConsumer::Ready).
+     */
+    ReadyPoll Ready() { return ReadyPoll(*this); }
+
+    /**
+     * The entry half of a poll: reads and dequeues the entry the last
+     * Ready() found into @p out. Poll() is Ready() followed, when it
+     * resumes true, by Take().
+     */
+    // wave-lifetime(caller-awaits)
+    sim::Task<>
+    Take(std::vector<std::byte>& out)
+    {
+        WAVE_ASSERT(!items_.Empty(), "Take() on an empty ShmQueue");
         co_await sim_.Delay(costs_.read_entry_ns);
-        auto out = items_.PopFront();
+        out = items_.PopFront();
         if (checker_ != nullptr) {
             checker_->OnShmAccess(out.size());
         }
@@ -109,6 +156,18 @@ class ShmQueue {
                                     "ShmQueue::Poll");
         }
         ++received_;
+    }
+
+    /** Dequeues the next entry if present. */
+    sim::Task<std::optional<std::vector<std::byte>>>
+    Poll()
+    {
+        const bool ready = co_await Ready();
+        if (!ready) {
+            co_return std::nullopt;
+        }
+        std::vector<std::byte> out;
+        co_await Take(out);
         co_return out;
     }
 

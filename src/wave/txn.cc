@@ -110,26 +110,33 @@ NicTxnEndpoint::PollTxnsOutcomes(std::size_t max)
 {
     std::vector<api::TxnOutcome> out;
     while (out.size() < max) {
-        // Each record is decoded before the next poll reuses the buffer.
-        if (!co_await outcomes_.PollInto(outcome_buf_)) break;
-        api::TxnOutcome outcome;
-        std::memcpy(&outcome.txn_id, outcome_buf_.data(),
-                    sizeof(outcome.txn_id));
-        std::memcpy(&outcome.status,
-                    outcome_buf_.data() + sizeof(api::TxnId),
-                    sizeof(outcome.status));
-        if (protocol_ != nullptr) {
-            protocol_->OnTxnOutcomeObserved(
-                &decisions_.Queue(), outcome.txn_id,
-                check::Domain::kNic,
-                "NicTxnEndpoint::PollTxnsOutcomes");
-        }
+        const bool ready = co_await OutcomeReady();
+        if (!ready) break;
+        const api::TxnOutcome outcome = co_await TakeOutcome();
         // Reserved on the first outcome, so an empty poll allocates
         // nothing.
         if (out.empty()) out.reserve(max);
         out.push_back(outcome);
     }
     co_return out;
+}
+
+// wave-lifetime(caller-awaits)
+sim::Task<api::TxnOutcome>
+NicTxnEndpoint::TakeOutcome()
+{
+    co_await outcomes_.Take(outcome_buf_);
+    api::TxnOutcome outcome;
+    std::memcpy(&outcome.txn_id, outcome_buf_.data(),
+                sizeof(outcome.txn_id));
+    std::memcpy(&outcome.status, outcome_buf_.data() + sizeof(api::TxnId),
+                sizeof(outcome.status));
+    if (protocol_ != nullptr) {
+        protocol_->OnTxnOutcomeObserved(&decisions_.Queue(), outcome.txn_id,
+                                        check::Domain::kNic,
+                                        "NicTxnEndpoint::PollTxnsOutcomes");
+    }
+    co_return outcome;
 }
 
 HostTxnEndpoint::HostTxnEndpoint(channel::HostConsumer& decisions,
@@ -148,8 +155,8 @@ HostTxnEndpoint::PollTxns(bool flush_first)
     }
     HostTxn txn;
     std::memcpy(&txn.id, slot_buf_.data(), sizeof(txn.id));
-    txn.payload.assign(slot_buf_.begin() + TxnWire::kHeaderSize,
-                       slot_buf_.end());
+    txn.payload =
+        std::span<const std::byte>(slot_buf_).subspan(TxnWire::kHeaderSize);
     if (protocol_ != nullptr) {
         protocol_->OnTxnDelivered(&decisions_.Queue(), txn.id,
                                   check::Domain::kHost,

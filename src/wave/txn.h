@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "channel/mmio_queue.h"
@@ -37,10 +38,14 @@ class FaultInjector;
 
 namespace wave {
 
-/** A decision delivered to the host: txn id + subsystem payload. */
+/**
+ * A decision delivered to the host: txn id + subsystem payload. The
+ * payload views the endpoint's slot buffer and stays valid until the
+ * next PollTxns() on the same endpoint; decode it before polling again.
+ */
 struct HostTxn {
     api::TxnId id;
-    api::Bytes payload;
+    std::span<const std::byte> payload;
 };
 
 /** Computes queue payload sizes for a given inner decision size. */
@@ -82,6 +87,22 @@ class NicTxnEndpoint {
     sim::Task<std::vector<api::TxnOutcome>> PollTxnsOutcomes(
         std::size_t max);
 
+    /**
+     * The flag half of one outcome poll (channel::NicConsumer::Ready):
+     * an awaiter, so a poll that finds no outcome builds no frame.
+     */
+    channel::NicConsumer::FlagPoll OutcomeReady()
+    {
+        return outcomes_.Ready();
+    }
+
+    /**
+     * The record half: consumes and decodes the outcome the last
+     * OutcomeReady() found. PollTxnsOutcomes() is these two halves in
+     * a loop.
+     */
+    sim::Task<api::TxnOutcome> TakeOutcome();
+
     std::size_t StagedCount() const { return staged_.size(); }
 
     /**
@@ -112,7 +133,7 @@ class NicTxnEndpoint {
     api::TxnId next_id_ = 1;
     std::vector<api::Bytes> staged_;  ///< already framed with txn ids
     std::vector<api::TxnId> staged_ids_;  ///< parallel to staged_
-    /** Reused record buffer for PollTxnsOutcomes (one poller). */
+    /** Reused record buffer for TakeOutcome (one poller). */
     api::Bytes outcome_buf_;
     check::ProtocolChecker* protocol_ = nullptr;
     sim::inject::FaultInjector* injector_ = nullptr;
@@ -131,6 +152,9 @@ class HostTxnEndpoint {
      * @param flush_first run the software-coherence flush before the
      *        read (required when new data may have arrived unprompted;
      *        unnecessary right after a prefetched hit).
+     *
+     * The returned payload views an endpoint-owned buffer (see
+     * HostTxn), so a delivered decision costs no heap allocation.
      */
     sim::Task<std::optional<HostTxn>> PollTxns(bool flush_first);
 

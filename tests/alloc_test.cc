@@ -282,17 +282,63 @@ TEST(AllocGuard, EmptyPollBatchAllocatesNothing)
     EXPECT_EQ(dma_allocs, 0u) << "empty DmaQueue::PollBatch allocated";
 }
 
-TEST(AllocGuard, WaveAgentEmptyPollsUseTwoFramesAndNoHeap)
+TEST(AllocGuard, WaveAgentEmptySweepBuildsOneFrameAndNoHeap)
 {
-    // The offloaded agent sweeps every core's outcome queue and the
-    // message queue on each loop iteration, and most of those polls
-    // come back empty. The transport and txn layers forward without a
-    // frame of their own and the NIC-local read is an awaiter, so an
-    // empty poll costs the endpoint's frame plus PollInto's, and the
-    // heap is never touched. Checkers stay attached (WaveRuntime's
+    // The offloaded agent sweeps every core's outcome queue once per
+    // loop iteration, and most of those polls come back empty. An empty
+    // poll is the NIC-local flag awaiter alone, so a whole empty sweep
+    // over the 15 cores of Fig. 4a builds one frame (the sweep's own)
+    // and never touches the heap. Checkers stay attached (WaveRuntime's
     // default), as in every Wave deployment. A frame the pool cannot
     // reuse comes from operator new, so with no allocations the pool's
     // reuse count is every frame built.
+    constexpr int kCores = 15;
+    constexpr int kWarmup = 4;
+    constexpr int kMeasured = 64;
+
+    Simulator sim;
+    machine::Machine machine(sim);
+    WaveRuntime runtime(sim, machine, pcie::PcieConfig{},
+                        api::OptimizationConfig::Full());
+    ghost::WaveSchedTransport transport(runtime, kCores);
+    std::vector<int> cores;
+    for (int c = 0; c < kCores; ++c) cores.push_back(c);
+
+    struct Measured {
+        std::uint64_t frames = ~0ull;
+        std::uint64_t allocs = ~0ull;
+        std::size_t swept = 0;
+    } m;
+    std::vector<ghost::SweptOutcome> buffer;
+    RunToCompletion(sim, [](Simulator& s, ghost::WaveSchedTransport& t,
+                            const std::vector<int>& cs,
+                            std::vector<ghost::SweptOutcome>& buf,
+                            Measured& out) -> Task<> {
+        for (int i = 0; i < kWarmup; ++i) {
+            co_await t.AgentSweepOutcomes(s, cs, 8, buf);
+        }
+        const std::uint64_t allocs = sim::AllocSnapshot().allocations;
+        const std::uint64_t frames = sim::detail::FramePoolReuses();
+        for (int i = 0; i < kMeasured; ++i) {
+            co_await t.AgentSweepOutcomes(s, cs, 8, buf);
+        }
+        out.frames = sim::detail::FramePoolReuses() - frames;
+        out.allocs = sim::AllocSnapshot().allocations - allocs;
+        out.swept = buf.size();
+    }(sim, transport, cores, buffer, m));
+
+    EXPECT_EQ(m.swept, 0u);
+    EXPECT_LE(m.frames, 1u * kMeasured)
+        << "an empty sweep over " << kCores
+        << " cores should build at most one frame";
+    EXPECT_EQ(m.allocs, 0u);
+}
+
+TEST(AllocGuard, WaveAgentEmptyPerCorePollsBuildOneFrame)
+{
+    // The per-core forms a decorator forwards to: an empty
+    // AgentPollOutcomes or AgentPollMessages builds its own frame and
+    // no other, and allocates nothing.
     constexpr int kWarmup = 4;
     constexpr int kMeasured = 64;
 
@@ -332,12 +378,66 @@ TEST(AllocGuard, WaveAgentEmptyPollsUseTwoFramesAndNoHeap)
     }(transport, m));
 
     EXPECT_EQ(m.polled, 0u);
-    EXPECT_LE(m.outcome_frames, 2u * kMeasured)
-        << "an empty AgentPollOutcomes should build at most two frames";
+    EXPECT_LE(m.outcome_frames, 1u * kMeasured)
+        << "an empty AgentPollOutcomes should build at most one frame";
     EXPECT_EQ(m.outcome_allocs, 0u);
-    EXPECT_LE(m.message_frames, 2u * kMeasured)
-        << "an empty AgentPollMessages should build at most two frames";
+    EXPECT_LE(m.message_frames, 1u * kMeasured)
+        << "an empty AgentPollMessages should build at most one frame";
     EXPECT_EQ(m.message_allocs, 0u);
+}
+
+TEST(AllocGuard, WaveHostPollDecisionAllocatesNothingWhenDelivering)
+{
+    // Every request's decision reaches its host core through
+    // HostPollDecision. The payload is decoded from a view of the txn
+    // endpoint's slot buffer, so a delivered decision allocates nothing
+    // once the buffers are warm. Only the poll is measured: staging a
+    // decision and reporting its outcome allocate by contract. The
+    // warmup runs more than one lap of the 64-slot decision ring, so
+    // every slot's cache line and checker shadow already exist.
+    constexpr int kWarmup = 72;
+    constexpr int kMeasured = 64;
+
+    Simulator sim;
+    machine::Machine machine(sim);
+    WaveRuntime runtime(sim, machine, pcie::PcieConfig{},
+                        api::OptimizationConfig::Full());
+    ghost::WaveSchedTransport transport(runtime, 1);
+
+    struct Measured {
+        std::uint64_t allocs = 0;
+        int delivered = 0;
+        bool tids_match = true;
+    } m;
+    RunToCompletion(sim, [](Simulator& s, ghost::WaveSchedTransport& t,
+                            Measured& out) -> Task<> {
+        for (int r = 0; r < kWarmup + kMeasured; ++r) {
+            ghost::GhostDecision d{};
+            d.type = ghost::DecisionType::kRunThread;
+            d.tid = 100 + r;
+            d.core = 0;
+            t.AgentStageDecision(d);
+            co_await t.AgentCommit(0, /*kick=*/false);
+            co_await s.Delay(2'000);  // the posted writes land
+            const std::uint64_t before = sim::AllocSnapshot().allocations;
+            const auto pd = co_await t.HostPollDecision(0, true);
+            if (r >= kWarmup) {
+                out.allocs += sim::AllocSnapshot().allocations - before;
+            }
+            if (!pd) continue;
+            ++out.delivered;
+            out.tids_match = out.tids_match && pd->decision.tid == 100 + r;
+            co_await t.HostSendOutcome(
+                0, {pd->txn_id, api::TxnStatus::kCommitted});
+            co_await s.Delay(2'000);
+            (void)co_await t.AgentPollOutcomes(0, 8);
+        }
+    }(sim, transport, m));
+
+    EXPECT_EQ(m.delivered, kWarmup + kMeasured);
+    EXPECT_TRUE(m.tids_match);
+    EXPECT_EQ(m.allocs, 0u)
+        << "a delivered HostPollDecision should not allocate";
 }
 
 TEST(AllocGuard, WtRefillAfterClflushIsAllocationFreeInSteadyState)

@@ -100,6 +100,26 @@ TEST(Layout, GenerationDistinguishesLaps)
     EXPECT_EQ(layout.SlotIndex(13), 5u);
 }
 
+TEST(Layout, GenerationIsTheLapNumberAcrossLapBoundaries)
+{
+    // The shift must agree with index / capacity + 1 at every lap edge,
+    // including a one-slot ring and indices past 2^32.
+    for (const std::size_t capacity : {1u, 2u, 8u, 64u, 256u}) {
+        RingLayout layout(
+            QueueConfig{.capacity = capacity, .payload_size = 8});
+        for (std::uint64_t lap : {0ull, 1ull, 2ull, 7ull, 1000ull,
+                                  (1ull << 33) + 5}) {
+            const std::uint64_t first = lap * capacity;
+            EXPECT_EQ(layout.GenerationOf(first), lap + 1)
+                << "capacity " << capacity << " lap " << lap;
+            EXPECT_EQ(layout.GenerationOf(first + capacity - 1), lap + 1)
+                << "capacity " << capacity << " lap " << lap;
+            EXPECT_EQ(layout.GenerationOf(first + capacity), lap + 2)
+                << "capacity " << capacity << " lap " << lap;
+        }
+    }
+}
+
 TEST(MmioQueueH2N, DeliversMessagesInOrder)
 {
     HostToNicFixture f(QueueConfig{.capacity = 16, .payload_size = 48});

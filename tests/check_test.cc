@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "check/coherence.h"
+#include "check/fnv.h"
 #include "pcie/config.h"
 #include "pcie/dma.h"
 #include "pcie/mmio.h"
@@ -323,6 +324,40 @@ TEST(DeterminismAuditor, EventHashIsRunToRunReproducible)
         return sim.EventHash();
     };
     EXPECT_EQ(run(), run());
+}
+
+/** The textbook fold FnvWord must match: eight FnvByte calls. */
+std::uint64_t
+FnvWordBytewise(std::uint64_t hash, std::uint64_t word)
+{
+    for (int i = 0; i < 8; ++i) {
+        hash = check::FnvByte(hash,
+                              static_cast<std::uint8_t>(word >> (i * 8)));
+    }
+    return hash;
+}
+
+TEST(DeterminismAuditor, FnvWordMatchesTheBytewiseFold)
+{
+    // Words of every significant-byte length 0..8 (a high byte of 0x01
+    // and of 0xff at each length), plus the edge words.
+    std::vector<std::uint64_t> words = {0, ~0ull, 1ull << 63, 0xff00};
+    for (int len = 1; len <= 8; ++len) {
+        const int top = (len - 1) * 8;
+        words.push_back(1ull << top);
+        words.push_back((0xffull << top) | 0x5a);
+    }
+    for (const std::uint64_t start :
+         {check::kFnvOffsetBasis, std::uint64_t{0}, ~std::uint64_t{0}}) {
+        for (const std::uint64_t word : words) {
+            EXPECT_EQ(check::FnvWord(start, word),
+                      FnvWordBytewise(start, word))
+                << std::hex << "start " << start << " word " << word;
+        }
+    }
+    // The fold is usable in constant expressions, as the header says.
+    static_assert(check::FnvWord(check::kFnvOffsetBasis, 0) ==
+                  check::kFnvOffsetBasis * check::kFnvPrimePow[8]);
 }
 
 TEST(DeterminismAuditor, KeyedTiesExecuteInKeyOrderNotInsertionOrder)

@@ -11,6 +11,7 @@
 #include "ghost/interrupt.h"
 #include "ghost/kernel.h"
 #include "ghost/transport.h"
+#include "pass_through_transport.h"
 #include "machine/machine.h"
 #include "sched/fifo.h"
 #include "sim/simulator.h"
@@ -270,6 +271,149 @@ TEST_P(TransportTest, SparseCoreSetIsIndexedByCoreId)
                      "is not served by this transport")
             << "core " << core;
     }
+}
+
+/** What one batch-limit script observed (see RunBatchLimitScript). */
+struct BatchLimitTrace {
+    std::vector<std::size_t> message_batches;
+    std::vector<Tid> message_tids;
+    std::vector<api::TxnId> per_core_ids;
+    std::vector<std::vector<SweptOutcome>> sweeps;
+    std::vector<TimeNs> sweep_starts;
+    TimeNs end{};
+    std::uint64_t event_hash = 0;
+};
+
+// wave-lifetime(spawn-safe: RunBatchLimitScript runs the simulator to completion before the fixture and trace it borrows go out of scope)
+Task<>
+BatchLimitScript(Simulator& sim, SchedTransport& t, BatchLimitTrace& out)
+{
+    // 40 messages drain as batches of 32, 8 and 0.
+    for (int i = 0; i < 40; ++i) {
+        GhostMessage message{};
+        message.type = MsgType::kThreadWakeup;
+        message.tid = i;
+        co_await t.HostSendMessage(message);
+    }
+    co_await sim.Delay(5_us);
+    for (int i = 0; i < 3; ++i) {
+        const auto got = co_await t.AgentPollMessages(32);
+        out.message_batches.push_back(got.size());
+        for (const GhostMessage& m : got) out.message_tids.push_back(m.tid);
+    }
+    // Ten committed decisions per core, each reported back.
+    for (int core : {0, 1}) {
+        for (int i = 0; i < 10; ++i) {
+            GhostDecision d{};
+            d.type = DecisionType::kRunThread;
+            d.tid = core * 100 + i;
+            d.core = core;
+            t.AgentStageDecision(d);
+        }
+        co_await t.AgentCommit(core, /*kick=*/false);
+    }
+    co_await sim.Delay(5_us);
+    for (int core : {0, 1}) {
+        for (int i = 0; i < 10; ++i) {
+            const auto pd = co_await t.HostPollDecision(core, true);
+            if (!pd) continue;
+            co_await t.HostSendOutcome(
+                core, {pd->txn_id, i % 3 == 0 ? api::TxnStatus::kFailedStale
+                                              : api::TxnStatus::kCommitted});
+        }
+    }
+    co_await sim.Delay(5_us);
+    // Eight outcomes from core 0 alone, then sweeps of both cores at
+    // eight records per core until one comes back empty.
+    for (const api::TxnOutcome& o : co_await t.AgentPollOutcomes(0, 8)) {
+        out.per_core_ids.push_back(o.txn_id);
+    }
+    const std::vector<int> cores{0, 1};
+    for (;;) {
+        out.sweep_starts.push_back(sim.Now());
+        std::vector<SweptOutcome> swept;
+        co_await t.AgentSweepOutcomes(sim, cores, 8, swept);
+        const bool empty = swept.empty();
+        out.sweeps.push_back(std::move(swept));
+        if (empty) break;
+    }
+    out.end = sim.Now();
+    out.event_hash = sim.EventHash();
+}
+
+BatchLimitTrace
+RunBatchLimitScript(bool wave, bool decorated)
+{
+    TransportFixture f(wave);
+    PassThroughTransport pass(*f.transport);
+    SchedTransport& t = decorated ? pass : *f.transport;
+    BatchLimitTrace trace;
+    f.sim.Spawn(BatchLimitScript(f.sim, t, trace));
+    f.sim.Run();
+    return trace;
+}
+
+TEST_P(TransportTest, BatchLimitsKeepEveryRecordIntact)
+{
+    const BatchLimitTrace trace = RunBatchLimitScript(GetParam(), false);
+    EXPECT_EQ(trace.message_batches, (std::vector<std::size_t>{32, 8, 0}));
+    ASSERT_EQ(trace.message_tids.size(), 40u);
+    for (std::size_t i = 0; i < trace.message_tids.size(); ++i) {
+        EXPECT_EQ(trace.message_tids[i], static_cast<Tid>(i));
+    }
+    // Each core's ids run 1..10 in commit order on the Wave binding and
+    // 1..20 across cores on the shm one; either way they ascend.
+    ASSERT_EQ(trace.per_core_ids.size(), 8u);
+    for (std::size_t i = 1; i < trace.per_core_ids.size(); ++i) {
+        EXPECT_LT(trace.per_core_ids[i - 1], trace.per_core_ids[i]);
+    }
+    // Sweep 1: core 0's last 2, core 1's first 8. Sweep 2: core 1's
+    // last 2. Sweep 3: empty.
+    ASSERT_EQ(trace.sweeps.size(), 3u);
+    const std::vector<int> want_cores1{0, 0, 1, 1, 1, 1, 1, 1, 1, 1};
+    std::vector<int> cores1;
+    for (const SweptOutcome& s : trace.sweeps[0]) cores1.push_back(s.core);
+    EXPECT_EQ(cores1, want_cores1);
+    ASSERT_EQ(trace.sweeps[1].size(), 2u);
+    EXPECT_EQ(trace.sweeps[1][0].core, 1);
+    EXPECT_TRUE(trace.sweeps[2].empty());
+    for (const auto& sweep : trace.sweeps) {
+        for (std::size_t i = 1; i < sweep.size(); ++i) {
+            if (sweep[i].core == sweep[i - 1].core) {
+                EXPECT_LT(sweep[i - 1].outcome.txn_id,
+                          sweep[i].outcome.txn_id);
+                // One stamp per core: when its polling finished.
+                EXPECT_EQ(sweep[i - 1].seen_at, sweep[i].seen_at);
+            } else {
+                EXPECT_LT(sweep[i - 1].seen_at, sweep[i].seen_at);
+            }
+        }
+    }
+    EXPECT_GT(trace.sweeps[0].front().seen_at, trace.sweep_starts[0]);
+}
+
+TEST_P(TransportTest, SweepMatchesTheDefaultBuiltFromPerCorePolls)
+{
+    // The binding's own sweep against the base-class default reached
+    // through a decorator: same records, same seen_at stamps, same
+    // event stream.
+    const BatchLimitTrace bare = RunBatchLimitScript(GetParam(), false);
+    const BatchLimitTrace decorated = RunBatchLimitScript(GetParam(), true);
+    ASSERT_EQ(bare.sweeps.size(), decorated.sweeps.size());
+    for (std::size_t i = 0; i < bare.sweeps.size(); ++i) {
+        ASSERT_EQ(bare.sweeps[i].size(), decorated.sweeps[i].size());
+        for (std::size_t j = 0; j < bare.sweeps[i].size(); ++j) {
+            const SweptOutcome& a = bare.sweeps[i][j];
+            const SweptOutcome& b = decorated.sweeps[i][j];
+            EXPECT_EQ(a.core, b.core);
+            EXPECT_EQ(a.outcome.txn_id, b.outcome.txn_id);
+            EXPECT_EQ(a.outcome.status, b.outcome.status);
+            EXPECT_EQ(a.seen_at, b.seen_at)
+                << "sweep " << i << " record " << j;
+        }
+    }
+    EXPECT_EQ(bare.end, decorated.end);
+    EXPECT_EQ(bare.event_hash, decorated.event_hash);
 }
 
 INSTANTIATE_TEST_SUITE_P(Bindings, TransportTest,

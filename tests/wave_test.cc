@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 
 #include "channel/bytes.h"
 #include "machine/machine.h"
@@ -44,7 +45,7 @@ Payload(std::uint64_t v, std::size_t n = 40)
 }
 
 std::uint64_t
-PayloadValue(const api::Bytes& b)
+PayloadValue(std::span<const std::byte> b)
 {
     std::uint64_t v = 0;
     std::memcpy(&v, b.data(), sizeof(v));
