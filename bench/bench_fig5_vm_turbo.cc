@@ -19,9 +19,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "ghost/agent.h"
-#include "ghost/kernel.h"
-#include "ghost/transport.h"
+#include "ghost/enclave.h"
 #include "machine/machine.h"
 #include "machine/turbo.h"
 #include "sched/vm_policy.h"
@@ -58,36 +56,18 @@ MeasureWorkOutput(int active_vcpus, bool ticks)
 
     WaveRuntime runtime(sim, machine, pcie::PcieConfig{},
                         api::OptimizationConfig::Full());
-    std::unique_ptr<ghost::SchedTransport> transport;
-    if (ticks) {
-        transport = std::make_unique<ghost::ShmSchedTransport>(
-            sim, kLogicalCores);
-    } else {
-        transport = std::make_unique<ghost::WaveSchedTransport>(
-            runtime, kLogicalCores);
-    }
-    ghost::GhostCosts costs;
-    ghost::KernelOptions options;
-    options.timer_ticks = ticks;
-    ghost::KernelSched kernel(sim, machine, *transport, costs, options);
-
     auto policy = std::make_shared<sched::VmPolicy>();
-    ghost::AgentConfig agent_cfg;
-    std::vector<int> cores;
-    for (int c = 0; c < kLogicalCores; ++c) cores.push_back(c);
-    agent_cfg.cores = cores;
-    agent_cfg.prestage = false;  // VMs are ms-scale; no prestaging (§7.2.4)
-    auto agent = std::make_shared<ghost::GhostAgent>(*transport, policy,
-                                                     agent_cfg);
-    std::unique_ptr<AgentContext> host_ctx;
-    if (ticks) {
-        // On-host agent: one polling instance on its own host core.
-        host_ctx = std::make_unique<AgentContext>(
-            sim, machine.HostCpu(kLogicalCores));
-        sim.Spawn(agent->Run(*host_ctx));
-    } else {
-        runtime.StartWaveAgent(agent, 0);
-    }
+    ghost::EnclaveConfig ec;
+    for (int c = 0; c < kLogicalCores; ++c) ec.cores.push_back(c);
+    // On-host: one polling agent on its own host core, ticks on.
+    ec.offloaded = !ticks;
+    ec.host_agent_core = kLogicalCores;
+    ec.policy_factory = [policy] { return policy; };
+    ec.agent.prestage = false;  // VMs are ms-scale; no prestaging (§7.2.4)
+    ec.kernel_options.timer_ticks = ticks;
+    ec.watchdog_timeout_ns = 0;
+    ghost::Enclave enclave(runtime, std::move(ec));
+    enclave.StartAgent();
 
     // Two VMs x 128 vCPUs: logical core c hosts vCPU A_c and B_c.
     // Active vCPUs fill first hyperthreads (logical 0..63) before the
@@ -103,17 +83,17 @@ MeasureWorkOutput(int active_vcpus, bool ticks)
             auto body = std::make_shared<workload::BusyLoopBody>();
             busy.push_back(body);
             // Alternate which VM owns the busy vCPU on this core.
-            kernel.AddThread(c % 2 == 0 ? tid_a : tid_b, body);
-            kernel.AddThread(c % 2 == 0 ? tid_b : tid_a,
-                             std::make_shared<workload::IdleVcpuBody>());
+            enclave.AddThread(c % 2 == 0 ? tid_a : tid_b, body);
+            enclave.AddThread(c % 2 == 0 ? tid_b : tid_a,
+                              std::make_shared<workload::IdleVcpuBody>());
         } else {
-            kernel.AddThread(tid_a,
-                             std::make_shared<workload::IdleVcpuBody>());
-            kernel.AddThread(tid_b,
-                             std::make_shared<workload::IdleVcpuBody>());
+            enclave.AddThread(tid_a,
+                              std::make_shared<workload::IdleVcpuBody>());
+            enclave.AddThread(tid_b,
+                              std::make_shared<workload::IdleVcpuBody>());
         }
     }
-    kernel.Start(cores);
+    enclave.Start();
 
     // Let placement settle, then measure a fixed window.
     sim.RunFor(10'000'000);

@@ -14,9 +14,7 @@
 #include <algorithm>
 
 #include "bench/bench_util.h"
-#include "ghost/agent.h"
-#include "ghost/kernel.h"
-#include "ghost/transport.h"
+#include "ghost/enclave.h"
 #include "sched/fifo.h"
 #include "machine/machine.h"
 #include "sim/simulator.h"
@@ -42,12 +40,13 @@ MeasureDecisionOpen(bool on_nic, bool nic_wb)
     opt.nic_wb_ptes = nic_wb;
     WaveRuntime runtime(sim, machine, pcie::PcieConfig{}, opt);
 
-    std::unique_ptr<ghost::SchedTransport> transport;
-    if (on_nic) {
-        transport = std::make_unique<ghost::WaveSchedTransport>(runtime, 1);
-    } else {
-        transport = std::make_unique<ghost::ShmSchedTransport>(sim, 1);
-    }
+    // A one-core enclave that is never started: the coroutine below
+    // plays the agent against its transport directly.
+    ghost::EnclaveConfig ec;
+    ec.cores = {0};
+    ec.offloaded = on_nic;
+    ec.policy_factory = [] { return std::make_shared<sched::FifoPolicy>(); };
+    ghost::Enclave enclave(runtime, std::move(ec));
 
     DurationNs cost{};
     sim.Spawn([](Simulator& s, ghost::SchedTransport& t,
@@ -60,7 +59,7 @@ MeasureDecisionOpen(bool on_nic, bool nic_wb)
         t.AgentStageDecision(d);
         co_await t.AgentCommit(0, /*kick=*/true);
         out = s.Now() - t0;
-    }(sim, *transport, cost));
+    }(sim, enclave.Transport(), cost));
     sim.Run();
     return cost;
 }
@@ -104,49 +103,33 @@ MeasureCtxSwitch(workload::Deployment deployment,
         machine::Machine machine(sim);
         WaveRuntime runtime(sim, machine, pcie::PcieConfig{}, opt);
 
-        const int cores = 2;
-        std::unique_ptr<ghost::SchedTransport> transport;
-        if (deployment == workload::Deployment::kWave) {
-            transport = std::make_unique<ghost::WaveSchedTransport>(
-                runtime, cores);
-        } else {
-            transport =
-                std::make_unique<ghost::ShmSchedTransport>(sim, cores);
-        }
-        ghost::KernelOptions options;
-        options.prefetch_decisions =
-            deployment == workload::Deployment::kOnHost ||
-            opt.prestage_prefetch;
-        ghost::KernelSched kernel(sim, machine, *transport,
-                                  ghost::GhostCosts{}, options);
-
-        auto policy = std::make_shared<sched::FifoPolicy>();
-        ghost::AgentConfig agent_cfg;
-        agent_cfg.cores = {0, 1};
-        agent_cfg.prestage = prestage;
-        agent_cfg.prestage_min_depth = 1;
-        auto agent = std::make_shared<ghost::GhostAgent>(
-            *transport, policy, agent_cfg);
-        std::unique_ptr<AgentContext> host_ctx;
-        if (deployment == workload::Deployment::kWave) {
-            runtime.StartWaveAgent(agent, 0);
-        } else {
-            host_ctx = std::make_unique<AgentContext>(
-                sim, machine.HostCpu(cores));
-            sim.Spawn(agent->Run(*host_ctx));
-        }
+        const bool wave = deployment == workload::Deployment::kWave;
+        ghost::EnclaveConfig ec;
+        ec.cores = {0, 1};
+        ec.offloaded = wave;
+        ec.host_agent_core = 2;
+        ec.policy_factory = [] {
+            return std::make_shared<sched::FifoPolicy>();
+        };
+        ec.agent.prestage = prestage;
+        ec.agent.prestage_min_depth = 1;
+        ec.kernel_options.prefetch_decisions =
+            !wave || opt.prestage_prefetch;
+        ec.watchdog_timeout_ns = 0;
+        ghost::Enclave enclave(runtime, std::move(ec));
+        enclave.StartAgent();
 
         for (ghost::Tid tid = 1; tid <= 64; ++tid) {
             // Staggered service times give run-to-run spread.
             const sim::DurationNs service =
                 9'000 + 100 * ((tid + run * 7) % 20);
-            kernel.AddThread(tid, std::make_shared<YieldingBody>(service));
+            enclave.AddThread(tid, std::make_shared<YieldingBody>(service));
         }
-        kernel.Start({0, 1});
+        enclave.Start();
         sim.RunFor(50'000'000);
 
         const DurationNs median =
-            kernel.Stats().ctx_switch_overhead.Percentile(0.50);
+            enclave.Kernel().Stats().ctx_switch_overhead.Percentile(0.50);
         lo = std::min(lo, median);
         hi = std::max(hi, median);
     }

@@ -10,20 +10,18 @@
 #include "check/hb.h"
 #include "check/protocol.h"
 #include "ghost/agent.h"
-#include "ghost/costs.h"
+#include "ghost/enclave.h"
 #include "ghost/kernel.h"
 #include "ghost/supervisor.h"
-#include "ghost/transport.h"
 #include "machine/machine.h"
 #include "pcie/config.h"
 #include "sched/cfs_lite.h"
-#include "sched/fifo.h"
-#include "sched/shinjuku.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "wave/runtime.h"
 #include "workload/kv_service.h"
 #include "workload/loadgen.h"
+#include "workload/sched_experiment.h"
 
 namespace wave::fuzz {
 
@@ -31,18 +29,6 @@ namespace {
 
 using sim::inject::FaultKind;
 using sim::inject::FaultSpec;
-
-std::shared_ptr<ghost::SchedPolicy>
-MakePolicy(const Scenario& s)
-{
-    const auto slice = static_cast<sim::DurationNs>(s.slice_us * 1000);
-    switch (s.policy) {
-      case 0: return std::make_shared<sched::FifoPolicy>();
-      case 1: return std::make_shared<sched::ShinjukuPolicy>(slice);
-      default:
-        return std::make_shared<sched::MultiQueueShinjukuPolicy>(slice);
-    }
-}
 
 pcie::PcieConfig
 MakePcie(const Scenario& s)
@@ -117,29 +103,22 @@ RunScenario(const Scenario& s)
     sim::inject::FaultInjector injector(sim);
     runtime.AttachInjector(&injector);
 
-    const int worker_cores = static_cast<int>(s.worker_cores);
-    std::vector<int> cores;
-    for (int i = 0; i < worker_cores; ++i) cores.push_back(i);
-
-    ghost::WaveSchedTransport transport(runtime, worker_cores);
-
-    ghost::KernelOptions kernel_options;
-    kernel_options.prefetch_decisions = opt.prestage_prefetch;
-    kernel_options.poll_idle = s.poll_mode != 0u;
-    ghost::KernelSched kernel(sim, machine, transport, ghost::GhostCosts{},
-                              kernel_options);
+    // The experiment harness's KV enclave, with the scenario's knobs.
+    workload::SchedExperimentConfig kv;
+    kv.worker_cores = static_cast<int>(s.worker_cores);
+    kv.opt = opt;
+    kv.prestage = s.prestage != 0u;
+    kv.prestage_min_depth = s.prestage_min_depth;
+    kv.poll_mode = s.poll_mode != 0u;
+    const auto kind = static_cast<workload::PolicyKind>(
+        std::min<std::uint64_t>(s.policy, 2));  // 0 fifo, 1 shinjuku, 2 mq
+    auto policy = workload::NewPolicy(
+        kind, static_cast<sim::DurationNs>(s.slice_us * 1000));
+    ghost::Enclave enclave(runtime, workload::KvEnclaveConfig(kv, policy));
+    ghost::KernelSched& kernel = enclave.Kernel();
     kernel.SetFaultInjector(&injector);
-
-    auto policy = MakePolicy(s);
-    ghost::AgentConfig agent_cfg;
-    agent_cfg.cores = cores;
-    agent_cfg.prestage = s.prestage != 0u;
-    agent_cfg.prestage_min_depth = s.prestage_min_depth;
-    agent_cfg.use_kicks = s.poll_mode == 0u;
-    auto agent =
-        std::make_shared<ghost::GhostAgent>(transport, policy, agent_cfg);
-    const AgentId agent_id =
-        runtime.StartWaveAgent(agent, /*nic_core=*/0);
+    enclave.StartAgent();
+    const AgentId agent_id = enclave.CurrentAgentId();
 
     ghost::SupervisorConfig sup_cfg;
     sup_cfg.timeout = static_cast<sim::DurationNs>(s.watchdog_timeout_ns);
@@ -149,35 +128,30 @@ RunScenario(const Scenario& s)
         static_cast<sim::DurationNs>(s.watchdog_check_ns);
     ghost::AgentSupervisor supervisor(sim, runtime, kernel, sup_cfg);
     supervisor.Supervise(
-        agent_id, agent,
-        [&transport, &agent_cfg] {
+        agent_id, enclave.CurrentAgentPtr(),
+        [&enclave] {
             // Host fallback: kernel-side CFS-class scheduling over the
             // same state, as in §3.3 ("falls back to on-host system
             // software"). Prestaging is an offload optimization; the
             // fallback runs plain.
-            ghost::AgentConfig fb_cfg = agent_cfg;
+            ghost::AgentConfig fb_cfg = enclave.Config().agent;
             fb_cfg.prestage = false;
             return std::make_shared<ghost::GhostAgent>(
-                transport, std::make_shared<sched::CfsLitePolicy>(),
-                fb_cfg);
+                enclave.Transport(),
+                std::make_shared<sched::CfsLitePolicy>(), fb_cfg);
         },
-        machine.HostCpu(worker_cores));
+        machine.HostCpu(kv.worker_cores));
 
-    auto on_assign = [&policy, &s](ghost::Tid tid, std::uint32_t slo) {
-        if (s.policy >= 2) {
-            static_cast<sched::MultiQueueShinjukuPolicy*>(policy.get())
-                ->SetThreadSlo(tid, slo);
-        }
-    };
     workload::KvService service(sim, kernel,
                                 static_cast<int>(s.num_workers),
-                                /*first_tid=*/1000, on_assign);
+                                /*first_tid=*/1000,
+                                workload::SloAssignHook(policy));
     const auto arrivals_end =
         static_cast<sim::TimeNs>(s.warmup_ns + s.measure_ns);
     service.SetMeasureWindow(static_cast<sim::TimeNs>(s.warmup_ns),
                              arrivals_end);
 
-    kernel.Start(cores);
+    enclave.Start();
 
     workload::LoadGenConfig lg;
     lg.rate_rps = static_cast<double>(s.offered_rps);
@@ -222,7 +196,7 @@ RunScenario(const Scenario& s)
     result.completed = service.Completed();
     result.pending_at_end = service.PendingDepth();
     result.commits_failed = kernel.Stats().commits_failed;
-    result.agent_decisions = agent->Stats().decisions;
+    result.agent_decisions = enclave.CurrentAgent().Stats().decisions;
     result.inject = injector.Stats();
     result.watchdog_expiries = supervisor.Stats().expiries;
     result.fallback_active = supervisor.Stats().fallback_active;
@@ -233,6 +207,7 @@ RunScenario(const Scenario& s)
                 [](const auto& v) { return v.Describe(); });
     }
     if (runtime.Protocol() != nullptr) {
+        result.commits_checked = runtime.Protocol()->Stats().commits_checked;
         Collect(result, "protocol", runtime.Protocol()->Violations(),
                 [](const auto& v) { return v.Describe(); });
     }

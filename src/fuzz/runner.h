@@ -2,9 +2,10 @@
  * @file
  * Executes one fuzz Scenario under the checker oracles.
  *
- * The runner builds the same deployment shape as the §7.2 experiment
- * harness — machine, Wave transport, ghOSt kernel, agent on a NIC core,
- * KV service, open-loop load generator — but adds:
+ * The runner builds the §7.2 experiment harness's deployment — the same
+ * ghost::Enclave (workload::KvEnclaveConfig: Wave transport, ghOSt
+ * kernel, agent on a NIC core), KV service, open-loop load generator —
+ * but adds:
  *
  *   - a sim::inject::FaultInjector armed with the scenario's schedule,
  *     wired into the PCIe fabric, kernel, and txn endpoints;
@@ -47,6 +48,8 @@ struct RunResult {
     std::uint64_t pending_at_end = 0;  ///< requests still queued at stop
     std::uint64_t commits_failed = 0;
     std::uint64_t agent_decisions = 0;
+    /** Commits the protocol checker held against the kernel's task state. */
+    std::uint64_t commits_checked = 0;
     sim::inject::InjectStats inject;   ///< per-kind fault hit counts
     std::uint64_t watchdog_expiries = 0;
     bool fallback_active = false;      ///< host fallback agent took over

@@ -14,13 +14,18 @@ Enclave::Enclave(WaveRuntime& runtime, EnclaveConfig config)
     if (config_.offloaded) {
         // The Wave binding wires its queues/txn endpoints into the
         // runtime's checkers itself.
-        transport_ = std::make_unique<WaveSchedTransport>(runtime_,
-                                                          config_.cores);
+        binding_ = std::make_unique<WaveSchedTransport>(runtime_,
+                                                        config_.cores);
     } else {
         auto shm = std::make_unique<ShmSchedTransport>(runtime_.Sim(),
                                                        config_.cores);
         shm->AttachCheckers(runtime_.Hb(), runtime_.Protocol());
-        transport_ = std::move(shm);
+        binding_ = std::move(shm);
+    }
+    transport_ = binding_.get();
+    if (config_.wrap_transport) {
+        decorator_ = config_.wrap_transport(*binding_);
+        transport_ = decorator_.get();
     }
     kernel_ = std::make_unique<KernelSched>(
         runtime_.Sim(), runtime_.GetMachine(), *transport_, config_.costs,
@@ -46,9 +51,16 @@ Enclave::StartAgentGeneration()
 }
 
 void
+Enclave::StartAgent()
+{
+    WAVE_ASSERT(generation_ == 0, "enclave agent started twice");
+    StartAgentGeneration();
+}
+
+void
 Enclave::Start()
 {
-    StartAgentGeneration();
+    if (generation_ == 0) StartAgentGeneration();
     kernel_->Start(config_.cores);
     if (config_.watchdog_timeout_ns > 0) {
         watchdog_ = std::make_unique<Watchdog>(

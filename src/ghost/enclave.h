@@ -52,12 +52,29 @@ struct EnclaveConfig {
     GhostCosts costs;
     KernelOptions kernel_options;
 
+    /**
+     * Optional decorator (a tracing or timing wrapper) around the
+     * binding the enclave builds; the kernel and every agent generation
+     * then reach the transport through it. The checkers stay on the
+     * binding.
+     */
+    std::function<std::unique_ptr<SchedTransport>(SchedTransport&)>
+        wrap_transport;
+
     /** Watchdog threshold; 0 disables the watchdog. */
     sim::DurationNs watchdog_timeout_ns = 20'000'000;
     sim::DurationNs watchdog_interval_ns = 1'000'000;
 };
 
-/** A self-contained scheduling partition: kernel + queues + agent. */
+/**
+ * A self-contained scheduling partition: kernel + queues + agent.
+ *
+ * The one place a scheduling deployment is wired: the transport picked
+ * by placement (Wave queues to a NIC core, or shared memory to a host
+ * core), the KernelSched over it, both attached to the runtime's
+ * checkers, then the agent started where it runs. Harnesses add their
+ * threads between StartAgent() and Start().
+ */
 class Enclave {
   public:
     Enclave(WaveRuntime& runtime, EnclaveConfig config);
@@ -69,7 +86,16 @@ class Enclave {
         kernel_->AddThread(tid, std::move(body));
     }
 
-    /** Starts the kernel loops and the agent; arms the watchdog. */
+    /**
+     * Starts the first agent generation. A harness whose threads must
+     * join after the agent has started calls this before Start().
+     */
+    void StartAgent();
+
+    /**
+     * Starts the agent (unless StartAgent() already did) and the kernel
+     * loops; arms the watchdog.
+     */
     void Start();
 
     /**
@@ -88,6 +114,12 @@ class Enclave {
     KernelSched& Kernel() { return *kernel_; }
     SchedTransport& Transport() { return *transport_; }
     GhostAgent& CurrentAgent() { return *agent_; }
+    const std::shared_ptr<GhostAgent>& CurrentAgentPtr() const
+    {
+        return agent_;
+    }
+    /** The current agent's Wave id (0 while the agent runs on host). */
+    AgentId CurrentAgentId() const { return agent_id_; }
     const EnclaveConfig& Config() const { return config_; }
 
   private:
@@ -96,7 +128,9 @@ class Enclave {
 
     WaveRuntime& runtime_;
     EnclaveConfig config_;
-    std::unique_ptr<SchedTransport> transport_;
+    std::unique_ptr<SchedTransport> binding_;    ///< Wave or shm queues
+    std::unique_ptr<SchedTransport> decorator_;  ///< wrap_transport's
+    SchedTransport* transport_ = nullptr;        ///< what kernel/agent use
     std::unique_ptr<KernelSched> kernel_;
     std::shared_ptr<GhostAgent> agent_;
     std::unique_ptr<AgentContext> host_agent_ctx_;

@@ -6,18 +6,18 @@
 #include <optional>
 
 #include "ghost/agent.h"
+#include "ghost/enclave.h"
 #include "ghost/kernel.h"
 #include "ghost/supervisor.h"
-#include "ghost/transport.h"
 #include "machine/machine.h"
 #include "pcie/config.h"
 #include "sched/cfs_lite.h"
-#include "sched/shinjuku.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "wave/runtime.h"
 #include "workload/kv_service.h"
 #include "workload/loadgen.h"
+#include "workload/sched_experiment.h"
 
 namespace wave::offload {
 
@@ -46,17 +46,8 @@ RunOffloadSweep(const OffloadSweepConfig& cfg)
     FaultInjector injector(sim);
     runtime.AttachInjector(&injector);
 
-    std::vector<int> worker_cores;
-    for (int i = 0; i < cfg.worker_cores; ++i) worker_cores.push_back(i);
-
-    ghost::WaveSchedTransport transport(runtime, cfg.worker_cores);
-
-    ghost::KernelSched kernel(sim, machine, transport, ghost::GhostCosts{},
-                              ghost::KernelOptions{});
-    kernel.SetFaultInjector(&injector);
-
-    auto policy =
-        std::make_shared<sched::MultiQueueShinjukuPolicy>(cfg.slice_ns);
+    auto policy = workload::NewPolicy(
+        workload::PolicyKind::kMultiQueueShinjuku, cfg.slice_ns);
 
     // --- the offload datapath ---
     const bool datapath = cfg.core_share > 0 && cfg.nic_cores > 1;
@@ -70,10 +61,12 @@ RunOffloadSweep(const OffloadSweepConfig& cfg)
     const sim::TimeNs measure_begin{cfg.warmup_ns};
     const sim::TimeNs measure_end{cfg.warmup_ns + cfg.measure_ns};
 
-    ghost::AgentConfig agent_cfg;
-    agent_cfg.cores = worker_cores;
-    agent_cfg.iter_window_begin = measure_begin;
-    agent_cfg.iter_window_end = measure_end;
+    ghost::EnclaveConfig ec;
+    for (int i = 0; i < cfg.worker_cores; ++i) ec.cores.push_back(i);
+    ec.policy_factory = [policy] { return policy; };
+    ec.agent.iter_window_begin = measure_begin;
+    ec.agent.iter_window_end = measure_end;
+    ec.watchdog_timeout_ns = 0;  // the supervisor below owns recovery
     if (datapath) {
         // The co-located slice: bounded stage work on the agent's own
         // core, skipped while the scheduling run queue is deep. The
@@ -83,8 +76,8 @@ RunOffloadSweep(const OffloadSweepConfig& cfg)
         ghost::SchedPolicy* pol = policy.get();
         const std::size_t budget = cfg.colo_batch;
         const std::size_t skip_depth = cfg.colo_skip_depth;
-        agent_cfg.aux_stage = [&pipeline, pol, budget,
-                               skip_depth](AgentContext& ctx) {
+        ec.agent.aux_stage = [&pipeline, pol, budget,
+                              skip_depth](AgentContext& ctx) {
             const std::size_t b =
                 skip_depth > 0 && pol->RunQueueDepth() >= skip_depth
                     ? 0
@@ -92,9 +85,11 @@ RunOffloadSweep(const OffloadSweepConfig& cfg)
             return pipeline.RunColocatedSlice(ctx.Cpu(), b);
         };
     }
-    auto agent =
-        std::make_shared<ghost::GhostAgent>(transport, policy, agent_cfg);
-    const AgentId agent_id = runtime.StartWaveAgent(agent, /*nic_core=*/0);
+    ghost::Enclave enclave(runtime, std::move(ec));
+    ghost::KernelSched& kernel = enclave.Kernel();
+    kernel.SetFaultInjector(&injector);
+    enclave.StartAgent();
+    const AgentId agent_id = enclave.CurrentAgentId();
 
     std::optional<ghost::AgentSupervisor> supervisor;
     if (cfg.supervise) {
@@ -107,29 +102,27 @@ RunOffloadSweep(const OffloadSweepConfig& cfg)
             static_cast<sim::DurationNs>(cfg.watchdog_check_ns);
         supervisor.emplace(sim, runtime, kernel, sup_cfg);
         supervisor->Supervise(
-            agent_id, agent,
-            [&transport, &agent_cfg] {
+            agent_id, enclave.CurrentAgentPtr(),
+            [&enclave] {
                 // Host fallback: plain CFS-class scheduling, no
                 // prestaging and no datapath slice — the datapath
                 // stays on its dedicated NIC cores.
-                ghost::AgentConfig fb_cfg = agent_cfg;
+                ghost::AgentConfig fb_cfg = enclave.Config().agent;
                 fb_cfg.prestage = false;
                 fb_cfg.aux_stage = nullptr;
                 return std::make_shared<ghost::GhostAgent>(
-                    transport, std::make_shared<sched::CfsLitePolicy>(),
-                    fb_cfg);
+                    enclave.Transport(),
+                    std::make_shared<sched::CfsLitePolicy>(), fb_cfg);
             },
             machine.HostCpu(cfg.worker_cores));
     }
 
-    auto on_assign = [&policy](ghost::Tid tid, std::uint32_t slo) {
-        policy->SetThreadSlo(tid, slo);
-    };
     workload::KvService service(sim, kernel, cfg.num_workers,
-                                /*first_tid=*/1000, on_assign);
+                                /*first_tid=*/1000,
+                                workload::SloAssignHook(policy));
     service.SetMeasureWindow(measure_begin, measure_end);
 
-    kernel.Start(worker_cores);
+    enclave.Start();
 
     workload::LoadGenConfig lg;
     lg.rate_rps = cfg.offered_rps;
@@ -210,8 +203,9 @@ RunOffloadSweep(const OffloadSweepConfig& cfg)
                              cfg.drain_ns});
 
     OffloadSweepResult r;
-    r.agent_iterations = agent->Stats().iterations;
-    const stats::Histogram& iter = agent->IterationLatency();
+    const ghost::GhostAgent& agent = enclave.CurrentAgent();
+    r.agent_iterations = agent.Stats().iterations;
+    const stats::Histogram& iter = agent.IterationLatency();
     r.agent_iter_p50 = iter.Percentile(0.50);
     r.agent_iter_p99 = iter.Percentile(0.99);
     r.agent_iter_p999 = iter.Percentile(0.999);

@@ -4,11 +4,9 @@
 #include <deque>
 
 #include "ghost/agent.h"
-#include "ghost/kernel.h"
-#include "ghost/transport.h"
+#include "ghost/enclave.h"
 #include "machine/machine.h"
 #include "rpc/rpc_stack.h"
-#include "sched/shinjuku.h"
 #include "stats/histogram.h"
 #include "wave/runtime.h"
 #include "workload/kv_service.h"
@@ -138,31 +136,32 @@ RunRpcExperiment(const RpcExperimentConfig& cfg)
 
     const ScenarioCosts costs = CostsFor(cfg.scenario, cfg.pcie);
 
+    // --- steering stage, co-located with the scheduling agent ---
+    // Requests that finished protocol processing wait here for the
+    // agent's steering pass.
+    auto steering_queue = std::make_shared<std::deque<Request>>();
+    SteeringStage steering{steering_queue, costs, cfg.multi_queue,
+                           /*service=*/nullptr, /*steered=*/0};
+
     // --- scheduling stack ---
-    std::vector<int> worker_cores;
-    for (int i = 0; i < cfg.rocksdb_cores; ++i) worker_cores.push_back(i);
-
-    std::unique_ptr<ghost::SchedTransport> transport;
-    const bool sched_on_nic = cfg.scenario == RpcScenario::kOffloadAll;
-    if (sched_on_nic) {
-        transport = std::make_unique<ghost::WaveSchedTransport>(
-            runtime, cfg.rocksdb_cores);
-    } else {
-        transport = std::make_unique<ghost::ShmSchedTransport>(
-            sim, cfg.rocksdb_cores);
-    }
-    ghost::KernelSched kernel(sim, machine, *transport);
-
-    std::shared_ptr<ghost::SchedPolicy> policy;
-    sched::MultiQueueShinjukuPolicy* mq_policy = nullptr;
-    if (cfg.multi_queue) {
-        auto mq =
-            std::make_shared<sched::MultiQueueShinjukuPolicy>(cfg.slice_ns);
-        mq_policy = mq.get();
-        policy = mq;
-    } else {
-        policy = std::make_shared<sched::ShinjukuPolicy>(cfg.slice_ns);
-    }
+    auto policy = workload::NewPolicy(
+        cfg.multi_queue ? workload::PolicyKind::kMultiQueueShinjuku
+                        : workload::PolicyKind::kShinjuku,
+        cfg.slice_ns);
+    ghost::EnclaveConfig ec;
+    for (int i = 0; i < cfg.rocksdb_cores; ++i) ec.cores.push_back(i);
+    ec.offloaded = cfg.scenario == RpcScenario::kOffloadAll;
+    ec.host_agent_core = cfg.rocksdb_cores;
+    ec.policy_factory = [policy] { return policy; };
+    ec.agent.prestage_min_depth = 4;
+    // The adapter lambda is not itself a coroutine: it reads its
+    // capture once, at call time, to construct the named coroutine's
+    // task — the pattern W202 leaves open.
+    ec.agent.aux_stage = [&steering](AgentContext& ctx) {
+        return RunSteeringStage(steering, ctx);
+    };
+    ec.watchdog_timeout_ns = 0;
+    ghost::Enclave enclave(runtime, std::move(ec));
 
     // --- RPC stack ---
     std::vector<machine::Cpu*> rpc_cpus;
@@ -177,13 +176,6 @@ RunRpcExperiment(const RpcExperimentConfig& cfg)
     RpcStack stack(sim, rpc_cpus, RpcCosts{});
     stack.Start();
 
-    // --- steering stage, co-located with the scheduling agent ---
-    // Requests that finished protocol processing wait here for the
-    // agent's steering pass.
-    auto steering_queue = std::make_shared<std::deque<Request>>();
-    SteeringStage steering{steering_queue, costs, cfg.multi_queue,
-                           /*service=*/nullptr, /*steered=*/0};
-
     // KV service with per-request completion flowing back through the
     // RPC stack's response path.
     stats::Histogram latency[2];
@@ -191,13 +183,8 @@ RunRpcExperiment(const RpcExperimentConfig& cfg)
     const sim::TimeNs window_start{cfg.warmup_ns};
     const sim::TimeNs window_end{cfg.warmup_ns + cfg.measure_ns};
 
-    auto on_assign = [&](ghost::Tid tid, std::uint32_t slo) {
-        if (mq_policy != nullptr) {
-            mq_policy->SetThreadSlo(tid, slo);
-        }
-    };
-    workload::KvService service(sim, kernel, cfg.num_workers, 1000,
-                                on_assign);
+    workload::KvService service(sim, enclave.Kernel(), cfg.num_workers,
+                                1000, workload::SloAssignHook(policy));
     service.SetCompletionHook([&](const Request& request) {
         stack.ProcessResponse(request, [&, arrival = request.arrival,
                                         kind = request.kind](Request) {
@@ -208,31 +195,9 @@ RunRpcExperiment(const RpcExperimentConfig& cfg)
             }
         });
     });
-
-    ghost::AgentConfig agent_cfg;
-    agent_cfg.cores = worker_cores;
-    agent_cfg.prestage = true;
-    agent_cfg.prestage_min_depth = 4;
-    // The adapter lambda is not itself a coroutine: it reads its
-    // capture once, at call time, to construct the named coroutine's
-    // task — the pattern W202 leaves open.
     steering.service = &service;
-    agent_cfg.aux_stage = [&steering](AgentContext& ctx) {
-        return RunSteeringStage(steering, ctx);
-    };
-    auto agent = std::make_shared<ghost::GhostAgent>(*transport, policy,
-                                                     agent_cfg);
 
-    std::unique_ptr<AgentContext> host_agent_ctx;
-    if (sched_on_nic) {
-        runtime.StartWaveAgent(agent, /*nic_core=*/0);
-    } else {
-        host_agent_ctx = std::make_unique<AgentContext>(
-            sim, machine.HostCpu(cfg.rocksdb_cores));
-        sim.Spawn(agent->Run(*host_agent_ctx));
-    }
-
-    kernel.Start(worker_cores);
+    enclave.Start();
 
     // --- load generation: arrivals land at the RPC stack ---
     sim.Spawn(GenerateRpcLoad(sim, stack, steering_queue, cfg));
@@ -247,7 +212,7 @@ RunRpcExperiment(const RpcExperimentConfig& cfg)
     result.get_p50 = latency[0].Percentile(0.50);
     result.get_p99 = latency[0].Percentile(0.99);
     result.range_p99 = latency[1].Percentile(0.99);
-    result.preemptions = kernel.Stats().preemptions;
+    result.preemptions = enclave.Kernel().Stats().preemptions;
     result.steered = steering.steered;
     result.event_hash = sim.EventHash();
     return result;

@@ -5,24 +5,53 @@
 
 namespace wave::workload {
 
-namespace {
-
 std::shared_ptr<ghost::SchedPolicy>
-MakePolicy(const SchedExperimentConfig& cfg)
+NewPolicy(PolicyKind kind, sim::DurationNs slice_ns)
 {
-    switch (cfg.policy) {
+    switch (kind) {
       case PolicyKind::kFifo:
         return std::make_shared<sched::FifoPolicy>();
       case PolicyKind::kShinjuku:
-        return std::make_shared<sched::ShinjukuPolicy>(cfg.slice_ns);
+        return std::make_shared<sched::ShinjukuPolicy>(slice_ns);
       case PolicyKind::kMultiQueueShinjuku:
       default:
-        return std::make_shared<sched::MultiQueueShinjukuPolicy>(
-            cfg.slice_ns);
+        return std::make_shared<sched::MultiQueueShinjukuPolicy>(slice_ns);
     }
 }
 
-}  // namespace
+std::function<void(ghost::Tid, std::uint32_t)>
+SloAssignHook(const std::shared_ptr<ghost::SchedPolicy>& policy)
+{
+    auto mq =
+        std::dynamic_pointer_cast<sched::MultiQueueShinjukuPolicy>(policy);
+    if (mq == nullptr) return {};
+    return [mq](ghost::Tid tid, std::uint32_t slo) {
+        mq->SetThreadSlo(tid, slo);
+    };
+}
+
+ghost::EnclaveConfig
+KvEnclaveConfig(const SchedExperimentConfig& cfg,
+                std::shared_ptr<ghost::SchedPolicy> policy)
+{
+    ghost::EnclaveConfig ec;
+    // Worker cores are 0..worker_cores-1; the on-host agent (if any)
+    // runs on the last core, mirroring the paper's 15+1 split.
+    for (int i = 0; i < cfg.worker_cores; ++i) ec.cores.push_back(i);
+    ec.offloaded = cfg.deployment == Deployment::kWave;
+    ec.host_agent_core = cfg.worker_cores;
+    ec.policy_factory = [policy = std::move(policy)] { return policy; };
+    ec.agent.prestage = cfg.prestage;
+    ec.agent.prestage_min_depth = cfg.prestage_min_depth;
+    ec.agent.use_kicks = !cfg.poll_mode;
+    // Decision prefetching is the host half of the §5.4 optimization;
+    // it rides the optimization ladder together with prestaging.
+    ec.kernel_options.prefetch_decisions =
+        !ec.offloaded || cfg.opt.prestage_prefetch;
+    ec.kernel_options.poll_idle = cfg.poll_mode;
+    ec.watchdog_timeout_ns = 0;
+    return ec;
+}
 
 SchedExperimentResult
 RunSchedExperiment(const SchedExperimentConfig& cfg)
@@ -36,60 +65,16 @@ RunSchedExperiment(const SchedExperimentConfig& cfg)
 
     WaveRuntime runtime(sim, machine, cfg.pcie, cfg.opt);
 
-    // Worker cores are 0..worker_cores-1; the on-host agent (if any)
-    // runs on the last core, mirroring the paper's 15+1 split.
-    std::vector<int> worker_cores;
-    for (int i = 0; i < cfg.worker_cores; ++i) worker_cores.push_back(i);
+    auto policy = NewPolicy(cfg.policy, cfg.slice_ns);
+    ghost::Enclave enclave(runtime, KvEnclaveConfig(cfg, policy));
+    enclave.StartAgent();
 
-    std::unique_ptr<ghost::SchedTransport> transport;
-    if (cfg.deployment == Deployment::kWave) {
-        transport = std::make_unique<ghost::WaveSchedTransport>(
-            runtime, cfg.worker_cores);
-    } else {
-        transport = std::make_unique<ghost::ShmSchedTransport>(
-            sim, cfg.worker_cores);
-    }
-
-    ghost::KernelOptions kernel_options;
-    // Decision prefetching is the host half of the §5.4 optimization;
-    // it rides the optimization ladder together with prestaging.
-    kernel_options.prefetch_decisions =
-        cfg.deployment == Deployment::kOnHost || cfg.opt.prestage_prefetch;
-    kernel_options.poll_idle = cfg.poll_mode;
-    ghost::KernelSched kernel(sim, machine, *transport, ghost::GhostCosts{},
-                              kernel_options);
-
-    auto policy = MakePolicy(cfg);
-    ghost::AgentConfig agent_cfg;
-    agent_cfg.cores = worker_cores;
-    agent_cfg.prestage = cfg.prestage;
-    agent_cfg.prestage_min_depth = cfg.prestage_min_depth;
-    agent_cfg.use_kicks = !cfg.poll_mode;
-    auto agent =
-        std::make_shared<ghost::GhostAgent>(*transport, policy, agent_cfg);
-
-    std::unique_ptr<AgentContext> host_agent_ctx;
-    if (cfg.deployment == Deployment::kWave) {
-        runtime.StartWaveAgent(agent, /*nic_core=*/0);
-    } else {
-        // The on-host agent occupies the extra host core.
-        host_agent_ctx = std::make_unique<AgentContext>(
-            sim, machine.HostCpu(cfg.worker_cores));
-        sim.Spawn(agent->Run(*host_agent_ctx));
-    }
-
-    auto on_assign = [&policy, &cfg](ghost::Tid tid, std::uint32_t slo) {
-        if (cfg.policy == PolicyKind::kMultiQueueShinjuku) {
-            static_cast<sched::MultiQueueShinjukuPolicy*>(policy.get())
-                ->SetThreadSlo(tid, slo);
-        }
-    };
-    KvService service(sim, kernel, cfg.num_workers, /*first_tid=*/1000,
-                      on_assign);
+    KvService service(sim, enclave.Kernel(), cfg.num_workers,
+                      /*first_tid=*/1000, SloAssignHook(policy));
     service.SetMeasureWindow(sim::TimeNs{cfg.warmup_ns},
                              sim::TimeNs{cfg.warmup_ns + cfg.measure_ns});
 
-    kernel.Start(worker_cores);
+    enclave.Start();
 
     LoadGenConfig lg;
     lg.rate_rps = cfg.offered_rps;
@@ -102,6 +87,8 @@ RunSchedExperiment(const SchedExperimentConfig& cfg)
 
     sim.RunUntil(sim::TimeNs{cfg.warmup_ns + cfg.measure_ns});
 
+    const ghost::KernelStats& ks = enclave.Kernel().Stats();
+    const ghost::AgentStats& as = enclave.CurrentAgent().Stats();
     SchedExperimentResult result;
     result.completed = service.CompletedInWindow();
     result.achieved_rps = static_cast<double>(result.completed) /
@@ -112,16 +99,15 @@ RunSchedExperiment(const SchedExperimentConfig& cfg)
     result.get_p999 = get_hist.Percentile(0.999);
     result.range_p99 =
         service.Latency(RequestKind::kRange).Percentile(0.99);
-    result.ctx_switch_p50 =
-        kernel.Stats().ctx_switch_overhead.Percentile(0.50);
-    result.commits_failed = kernel.Stats().commits_failed;
-    result.prestage_hits = kernel.Stats().prestage_hits;
-    result.idle_waits = kernel.Stats().idle_waits;
-    result.preemptions = kernel.Stats().preemptions;
-    result.agent_decisions = agent->Stats().decisions;
-    result.agent_prestages = agent->Stats().prestages;
-    result.agent_kicks = agent->Stats().kicks;
-    result.messages_sent = kernel.Stats().messages_sent;
+    result.ctx_switch_p50 = ks.ctx_switch_overhead.Percentile(0.50);
+    result.commits_failed = ks.commits_failed;
+    result.prestage_hits = ks.prestage_hits;
+    result.idle_waits = ks.idle_waits;
+    result.preemptions = ks.preemptions;
+    result.agent_decisions = as.decisions;
+    result.agent_prestages = as.prestages;
+    result.agent_kicks = as.kicks;
+    result.messages_sent = ks.messages_sent;
     result.event_hash = sim.EventHash();
     return result;
 }

@@ -12,11 +12,13 @@
 // wave-domain: host
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 
 #include "ghost/agent.h"
 #include "ghost/costs.h"
+#include "ghost/enclave.h"
 #include "ghost/kernel.h"
 #include "ghost/transport.h"
 #include "machine/machine.h"
@@ -106,6 +108,28 @@ struct SchedExperimentResult {
     /** Simulator event-stream fingerprint (determinism auditing). */
     std::uint64_t event_hash = 0;
 };
+
+/** A fresh @p kind policy; @p slice_ns is Shinjuku's preemption slice. */
+std::shared_ptr<ghost::SchedPolicy> NewPolicy(PolicyKind kind,
+                                              sim::DurationNs slice_ns);
+
+/**
+ * KvService's on_assign hook for @p policy: a multi-queue Shinjuku
+ * policy learns the SLO class of each worker's request; any other
+ * policy needs no hook, so the result is empty.
+ */
+std::function<void(ghost::Tid, std::uint32_t)> SloAssignHook(
+    const std::shared_ptr<ghost::SchedPolicy>& policy);
+
+/**
+ * The enclave RunSchedExperiment deploys for @p cfg: its worker cores
+ * 0..worker_cores-1, the agent on NIC core 0 (kWave) or on the host
+ * core after the workers (kOnHost), one agent generation running
+ * @p policy, and no watchdog.
+ */
+ghost::EnclaveConfig KvEnclaveConfig(
+    const SchedExperimentConfig& cfg,
+    std::shared_ptr<ghost::SchedPolicy> policy);
 
 /** Runs one load point to completion and reports. */
 SchedExperimentResult RunSchedExperiment(const SchedExperimentConfig& cfg);

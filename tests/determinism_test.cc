@@ -23,9 +23,7 @@
 
 #include "fuzz/runner.h"
 #include "fuzz/scenario.h"
-#include "ghost/agent.h"
-#include "ghost/kernel.h"
-#include "ghost/transport.h"
+#include "ghost/enclave.h"
 #include "machine/machine.h"
 #include "machine/turbo.h"
 #include "memmgr/address_space.h"
@@ -366,34 +364,17 @@ GoldenFig5VmTurbo(bool ticks)
 
     WaveRuntime runtime(sim, machine, pcie::PcieConfig{},
                         api::OptimizationConfig::Full());
-    std::unique_ptr<ghost::SchedTransport> transport;
-    if (ticks) {
-        transport = std::make_unique<ghost::ShmSchedTransport>(sim, kCores);
-    } else {
-        transport =
-            std::make_unique<ghost::WaveSchedTransport>(runtime, kCores);
-    }
-    ghost::GhostCosts costs;
-    ghost::KernelOptions options;
-    options.timer_ticks = ticks;
-    ghost::KernelSched kernel(sim, machine, *transport, costs, options);
-
     auto policy = std::make_shared<sched::VmPolicy>();
-    ghost::AgentConfig agent_cfg;
-    std::vector<int> cores;
-    for (int c = 0; c < kCores; ++c) cores.push_back(c);
-    agent_cfg.cores = cores;
-    agent_cfg.prestage = false;
-    auto agent = std::make_shared<ghost::GhostAgent>(*transport, policy,
-                                                     agent_cfg);
-    std::unique_ptr<AgentContext> host_ctx;
-    if (ticks) {
-        host_ctx = std::make_unique<AgentContext>(
-            sim, machine.HostCpu(kCores));
-        sim.Spawn(agent->Run(*host_ctx));
-    } else {
-        runtime.StartWaveAgent(agent, 0);
-    }
+    ghost::EnclaveConfig ec;
+    for (int c = 0; c < kCores; ++c) ec.cores.push_back(c);
+    ec.offloaded = !ticks;
+    ec.host_agent_core = kCores;
+    ec.policy_factory = [policy] { return policy; };
+    ec.agent.prestage = false;
+    ec.kernel_options.timer_ticks = ticks;
+    ec.watchdog_timeout_ns = 0;
+    ghost::Enclave enclave(runtime, std::move(ec));
+    enclave.StartAgent();
 
     for (int c = 0; c < kCores; ++c) {
         const ghost::Tid tid_a = 1000 + c;
@@ -401,18 +382,18 @@ GoldenFig5VmTurbo(bool ticks)
         policy->PinVcpu(tid_a, c);
         policy->PinVcpu(tid_b, c);
         if (c < 3) {
-            kernel.AddThread(tid_a,
-                             std::make_shared<workload::BusyLoopBody>());
-            kernel.AddThread(tid_b,
-                             std::make_shared<workload::IdleVcpuBody>());
+            enclave.AddThread(tid_a,
+                              std::make_shared<workload::BusyLoopBody>());
+            enclave.AddThread(tid_b,
+                              std::make_shared<workload::IdleVcpuBody>());
         } else {
-            kernel.AddThread(tid_a,
-                             std::make_shared<workload::IdleVcpuBody>());
-            kernel.AddThread(tid_b,
-                             std::make_shared<workload::IdleVcpuBody>());
+            enclave.AddThread(tid_a,
+                              std::make_shared<workload::IdleVcpuBody>());
+            enclave.AddThread(tid_b,
+                              std::make_shared<workload::IdleVcpuBody>());
         }
     }
-    kernel.Start(cores);
+    enclave.Start();
 
     sim.RunFor(2'000'000);
     sim.RunFor(5'000'000);

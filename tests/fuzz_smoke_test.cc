@@ -92,6 +92,10 @@ TEST(FuzzSmoke, BenignSweepIsCleanAndDeterministic)
         const RunResult r = RunScenarioTwice(s);
         EXPECT_TRUE(r.Ok()) << "seed " << seed << ":\n" << r.Describe();
         EXPECT_GT(r.completed, 0u) << "seed " << seed;
+        // The kernel reports to the protocol oracle, so its
+        // commit-vs-task-state rules (double-claim, stale-view-commit)
+        // were armed rather than passing vacuously.
+        EXPECT_GT(r.commits_checked, 0u) << "seed " << seed;
     }
 }
 

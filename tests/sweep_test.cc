@@ -17,13 +17,9 @@
 #include <memory>
 #include <vector>
 
-#include "ghost/agent.h"
-#include "ghost/kernel.h"
-#include "ghost/transport.h"
+#include "ghost/enclave.h"
 #include "machine/machine.h"
 #include "pass_through_transport.h"
-#include "sched/fifo.h"
-#include "sched/shinjuku.h"
 #include "sim/simulator.h"
 #include "wave/runtime.h"
 #include "workload/kv_service.h"
@@ -48,9 +44,9 @@ struct KvRun {
 
 /**
  * RunSchedExperiment's deployment, built here so the agent and kernel
- * can reach the transport through a decorator. For FIFO and Shinjuku
- * the construction order is the experiment's, so a bare run
- * reproduces its event hash.
+ * can reach the transport through the enclave's decorator seam. The
+ * construction order is the experiment's, so a bare run reproduces its
+ * event hash.
  */
 KvRun
 RunKv(const SchedExperimentConfig& cfg, bool decorated)
@@ -61,56 +57,21 @@ RunKv(const SchedExperimentConfig& cfg, bool decorated)
     machine::Machine machine(sim, mc);
     WaveRuntime runtime(sim, machine, cfg.pcie, cfg.opt);
 
-    std::vector<int> cores;
-    for (int i = 0; i < cfg.worker_cores; ++i) cores.push_back(i);
-
-    const bool wave = cfg.deployment == Deployment::kWave;
-    std::unique_ptr<ghost::SchedTransport> bare;
-    if (wave) {
-        bare = std::make_unique<ghost::WaveSchedTransport>(
-            runtime, cfg.worker_cores);
-    } else {
-        bare = std::make_unique<ghost::ShmSchedTransport>(sim,
-                                                          cfg.worker_cores);
+    ghost::EnclaveConfig ec = workload::KvEnclaveConfig(
+        cfg, workload::NewPolicy(cfg.policy, cfg.slice_ns));
+    if (decorated) {
+        ec.wrap_transport = [](ghost::SchedTransport& inner) {
+            return std::make_unique<ghost::PassThroughTransport>(inner);
+        };
     }
-    ghost::PassThroughTransport pass(*bare);
-    ghost::SchedTransport& transport =
-        decorated ? static_cast<ghost::SchedTransport&>(pass) : *bare;
-
-    ghost::KernelOptions kernel_options;
-    kernel_options.prefetch_decisions = !wave || cfg.opt.prestage_prefetch;
-    kernel_options.poll_idle = cfg.poll_mode;
-    ghost::KernelSched kernel(sim, machine, transport, ghost::GhostCosts{},
-                              kernel_options);
-
-    std::shared_ptr<ghost::SchedPolicy> policy;
-    if (cfg.policy == PolicyKind::kFifo) {
-        policy = std::make_shared<sched::FifoPolicy>();
-    } else {
-        policy = std::make_shared<sched::ShinjukuPolicy>(cfg.slice_ns);
-    }
-    ghost::AgentConfig agent_cfg;
-    agent_cfg.cores = cores;
-    agent_cfg.prestage = cfg.prestage;
-    agent_cfg.prestage_min_depth = cfg.prestage_min_depth;
-    agent_cfg.use_kicks = !cfg.poll_mode;
-    auto agent =
-        std::make_shared<ghost::GhostAgent>(transport, policy, agent_cfg);
-
-    std::unique_ptr<AgentContext> host_ctx;
-    if (wave) {
-        runtime.StartWaveAgent(agent, /*nic_core=*/0);
-    } else {
-        host_ctx = std::make_unique<AgentContext>(
-            sim, machine.HostCpu(cfg.worker_cores));
-        sim.Spawn(agent->Run(*host_ctx));
-    }
+    ghost::Enclave enclave(runtime, std::move(ec));
+    enclave.StartAgent();
 
     const sim::TimeNs end{cfg.warmup_ns + cfg.measure_ns};
-    workload::KvService service(sim, kernel, cfg.num_workers,
+    workload::KvService service(sim, enclave.Kernel(), cfg.num_workers,
                                 /*first_tid=*/1000);
     service.SetMeasureWindow(sim::TimeNs{cfg.warmup_ns}, end);
-    kernel.Start(cores);
+    enclave.Start();
 
     workload::LoadGenConfig lg;
     lg.rate_rps = cfg.offered_rps;
@@ -127,8 +88,8 @@ RunKv(const SchedExperimentConfig& cfg, bool decorated)
     run.completed = service.CompletedInWindow();
     run.get_p99 =
         service.Latency(workload::RequestKind::kGet).Percentile(0.99);
-    run.preemptions = kernel.Stats().preemptions;
-    run.agent = agent->Stats();
+    run.preemptions = enclave.Kernel().Stats().preemptions;
+    run.agent = enclave.CurrentAgent().Stats();
     return run;
 }
 
